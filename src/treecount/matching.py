@@ -27,8 +27,8 @@ SHIFT_ENTROPY_TOL = 1e-12
 
 def _support_mask(g: Digraph) -> np.ndarray:
     mask = np.zeros((g.n, g.n), dtype=bool)
-    for u, v in g.edges:
-        mask[u, v] = True
+    for u, outs in enumerate(g.out_adj):
+        mask[u, list(outs)] = True
     return mask
 
 
@@ -122,23 +122,18 @@ class NormalityReport:
 
 
 def normality(x: PFM) -> NormalityReport:
-    n = x.n
-    gaps = []
-    b_min = 1.0
-    per_arc: list[tuple[float, tuple[int, int]]] = []
-    for u, v in x.support_arcs():
-        w = x.weights[u, v]
-        if w == 0.0:
-            gaps.append((u, v))
-            continue
-        b_e = max(n * w, 1.0 / (n * w))
-        per_arc.append((b_e, (u, v)))
-        b_min = max(b_min, b_e)
-    if gaps:
-        return NormalityReport(
-            b_min=math.inf, attaining=tuple(gaps), support_gaps=tuple(gaps)
-        )
-    attaining = tuple(e for b_e, e in per_arc if b_e >= b_min * (1 - 1e-12))
+    """Arcs are visited row-major, the order of ``sorted(host.edges)``."""
+    rows, cols = np.nonzero(_support_mask(x.host))
+    w = x.weights[rows, cols]
+    gap = w == 0.0
+    if gap.any():
+        gaps = tuple(zip(rows[gap].tolist(), cols[gap].tolist()))
+        return NormalityReport(b_min=math.inf, attaining=gaps, support_gaps=gaps)
+    nw = x.n * w
+    b_e = np.maximum(nw, 1.0 / nw)
+    b_min = max(1.0, float(b_e.max())) if b_e.size else 1.0
+    top = b_e >= b_min * (1 - 1e-12)
+    attaining = tuple(zip(rows[top].tolist(), cols[top].tolist()))
     return NormalityReport(b_min=b_min, attaining=attaining, support_gaps=())
 
 
@@ -514,38 +509,46 @@ def _redistribute_rows(
 
     Moving weight from arc (d, z) to (t, z) changes only the out-sums of
     d and t, so column sums are untouched.
+
+    Each (taker, donor) pair moves its deltas on all common columns at
+    once, since every column touches only its own two cells; the running
+    sums ``s`` and ``moved`` then take the deltas one by one, left to
+    right, so they round exactly as a per-column loop would.
     """
-    n = w.shape[0]
+    rows, mask_rows = list(w), list(mask)   # row views, also of a transpose
     passes = 0
     while passes < max_passes:
         s = w.sum(axis=1)
         if np.abs(s - 1.0).max() <= tol:
             return passes
-        takers = [t for t in range(n) if s[t] < 1.0 - tol / 4]
-        donors = [d for d in range(n) if s[d] > 1.0 + tol / 4]
+        takers = np.flatnonzero(s < 1.0 - tol / 4).tolist()
+        donors = np.flatnonzero(s > 1.0 + tol / 4).tolist()
+        s = s.tolist()
         moved = 0.0
         for t in takers:
             need = 1.0 - s[t]
             for d in donors:
+                if need <= 0:
+                    break
                 avail = s[d] - 1.0
-                if avail <= 0 or need <= 0:
+                if avail <= 0:
                     continue
-                common = [
-                    z for z in range(n)
-                    if mask[d, z] and mask[t, z] and w[d, z] > 0
-                ]
-                if not common:
+                w_d = rows[d]
+                common = (mask_rows[d] & mask_rows[t] & (w_d > 0)).nonzero()[0]
+                if common.size == 0:
                     continue
-                amount = min(need, avail)
-                share = amount / len(common)
-                for z in common:
-                    delta = min(share, w[d, z])
-                    w[d, z] -= delta
-                    w[t, z] += delta
-                    moved += delta
-                    s[d] -= delta
-                    s[t] += delta
-                need = 1.0 - s[t]
+                share = min(need, avail) / common.size
+                from_d = w_d[common]
+                delta = np.minimum(share, from_d)
+                w_d[common] = from_d - delta
+                rows[t][common] += delta
+                s_d, s_t = s[d], s[t]
+                for dz in delta.tolist():
+                    moved += dz
+                    s_d -= dz
+                    s_t += dz
+                s[d], s[t] = s_d, s_t
+                need = 1.0 - s_t
         passes += 1
         if moved <= tol / 16:
             break
@@ -593,17 +596,15 @@ def rebalance_after_removal(
         )
         return RebalanceResult(matching=x, vertex_map=relabel,
                                new_vertex=None, report=rep)
-    n_new = len(keep) + (1 if attach else 0)
-    arcs = [
-        (relabel[u], relabel[v])
-        for (u, v) in g.edges
-        if u in relabel and v in relabel
-    ]
+    kept = len(keep)
+    n_new = kept + (1 if attach else 0)
+    block = np.ix_(keep, keep)
+    kept_mask = _support_mask(g)[block]
+    rows, cols = np.nonzero(kept_mask)
+    arcs = list(zip(rows.tolist(), cols.tolist()))
     u_id = None
     w = np.zeros((n_new, n_new))
-    for u, v in g.edges:
-        if u in relabel and v in relabel:
-            w[relabel[u], relabel[v]] = x.weights[u, v]
+    w[:kept, :kept] = np.where(kept_mask, x.weights[block], 0.0)
     if attach:
         outs = sorted({relabel[v] for v in attach_out})
         ins = sorted({relabel[v] for v in attach_in})
@@ -634,7 +635,6 @@ def rebalance_after_removal(
     p2 = _redistribute_rows(w.T, mask.T, tol, max_passes)
     out = PFM(host, w, tol=2 * tol)
     h_new = matching_entropy(out)
-    kept = len(keep)
     target = (kept / g.n) * matching_entropy(x) - kept * math.log2(g.n / kept)
     rep = RebalanceReport(
         entropy=h_new, target=target, slack=h_new - target,

@@ -11,6 +11,7 @@ from treecount.graphs import Digraph, complete_digraph, directed_cycle
 from treecount.matching import (
     NormalizationConfig,
     PerfectFractionalMatching,
+    _redistribute_rows,
     fourcycle_shift,
     heavy_mass,
     matching_entropy,
@@ -416,3 +417,155 @@ def test_pfm_roundtrip_bit_faithful():
     back = parse_pfm_text(write_pfm_text(x))
     assert back.host == g
     assert np.array_equal(back.weights, x.weights)
+
+
+# ---------------------------------------------------------------------------
+# loop references for the vectorised kernels: the arithmetic is unchanged,
+# so results must agree bit for bit
+# ---------------------------------------------------------------------------
+
+def loop_redistribute_rows(w, mask, tol, max_passes):
+    n = w.shape[0]
+    passes = 0
+    while passes < max_passes:
+        s = w.sum(axis=1)
+        if np.abs(s - 1.0).max() <= tol:
+            return passes
+        takers = [t for t in range(n) if s[t] < 1.0 - tol / 4]
+        donors = [d for d in range(n) if s[d] > 1.0 + tol / 4]
+        moved = 0.0
+        for t in takers:
+            need = 1.0 - s[t]
+            for d in donors:
+                avail = s[d] - 1.0
+                if avail <= 0 or need <= 0:
+                    continue
+                common = [
+                    z for z in range(n)
+                    if mask[d, z] and mask[t, z] and w[d, z] > 0
+                ]
+                if not common:
+                    continue
+                share = min(need, avail) / len(common)
+                for z in common:
+                    delta = min(share, w[d, z])
+                    w[d, z] -= delta
+                    w[t, z] += delta
+                    moved += delta
+                    s[d] -= delta
+                    s[t] += delta
+                need = 1.0 - s[t]
+        passes += 1
+        if moved <= tol / 16:
+            break
+    s = w.sum(axis=1)
+    if np.abs(s - 1.0).max() > tol:
+        raise ProcedureError(
+            "row redistribution stalled",
+            residual=float(np.abs(s - 1.0).max()), passes=passes,
+        )
+    return passes
+
+
+def loop_normality(x):
+    n = x.n
+    gaps = []
+    b_min = 1.0
+    per_arc = []
+    for u, v in sorted(x.host.edges):
+        w = x.weights[u, v]
+        if w == 0.0:
+            gaps.append((u, v))
+            continue
+        b_e = max(n * w, 1.0 / (n * w))
+        per_arc.append((b_e, (u, v)))
+        b_min = max(b_min, b_e)
+    if gaps:
+        return math.inf, tuple(gaps), tuple(gaps)
+    attaining = tuple(e for b_e, e in per_arc if b_e >= b_min * (1 - 1e-12))
+    return b_min, attaining, ()
+
+
+def _shrunken_weights(seed: int, n: int, drop: int):
+    """Surviving max-entropy weights after deleting vertices, rescaled to
+    total n - drop: the input rebalancing hands to the row repair."""
+    rng = np.random.default_rng(seed)
+    g = random_dense_digraph(rng, n, min_deg=int(0.6 * n))
+    x, _ = max_entropy_matching(g)
+    keep = sorted(rng.choice(n, size=n - drop, replace=False).tolist())
+    mask = np.zeros((n, n), dtype=bool)
+    for u, v in g.edges:
+        mask[u, v] = True
+    mask = mask[np.ix_(keep, keep)]
+    w = np.array(x.weights[np.ix_(keep, keep)])
+    w *= len(keep) / w.sum()
+    return w, mask
+
+
+def _random_weights(seed: int, n: int = 20):
+    """Random support weights rescaled to total n: rows and columns miss
+    their unit sums by up to about half, so some repairs take two passes."""
+    rng = np.random.default_rng(seed)
+    g = random_dense_digraph(rng, n, min_deg=12)
+    mask = np.zeros((n, n), dtype=bool)
+    for u, v in g.edges:
+        mask[u, v] = True
+    w = mask * rng.uniform(0.2, 2.0, size=(n, n))
+    w *= n / w.sum()
+    return w, mask
+
+
+def _outcome(fn, w, mask):
+    try:
+        return fn(w, mask, 1e-9, 500)
+    except ProcedureError as exc:
+        return str(exc), sorted(exc.diagnostics.items())
+
+
+@pytest.mark.parametrize("make,seed", [
+    (make, seed) for make in ("shrunken", "random") for seed in range(4)
+])
+def test_redistribute_rows_matches_loop_reference(make, seed):
+    if make == "shrunken":
+        w, mask = _shrunken_weights(seed, 30 + 5 * seed, 3 + seed)
+    else:
+        w, mask = _random_weights(seed)
+    a, b = w.copy(), w.copy()
+    assert _outcome(_redistribute_rows, a, mask) == _outcome(
+        loop_redistribute_rows, b, mask
+    )
+    assert a.tobytes() == b.tobytes()
+    # the column repair runs on transposed views
+    assert _outcome(_redistribute_rows, a.T, mask.T) == _outcome(
+        loop_redistribute_rows, b.T, mask.T
+    )
+    assert a.tobytes() == b.tobytes()
+
+
+def test_redistribute_rows_stall_matches_loop_reference():
+    # rows with no common column to trade in stall identically
+    mask = np.array([[1, 0, 0], [0, 1, 1], [0, 1, 1]], dtype=bool)
+    w = np.array([[0.5, 0.0, 0.0], [0.0, 0.75, 0.75], [0.0, 0.5, 0.5]])
+    a, b = w.copy(), w.copy()
+    out = _outcome(loop_redistribute_rows, b, mask)
+    assert out[0] == "row redistribution stalled"
+    assert _outcome(_redistribute_rows, a, mask) == out
+    assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_normality_matches_loop_reference(seed):
+    rng = np.random.default_rng(300 + seed)
+    g = random_dense_digraph(rng, 16 + 4 * seed, min_deg=10 + 3 * seed)
+    for x in (max_entropy_matching(g)[0], scaled_random_pfm(rng, g)):
+        rep = normality(x)
+        assert (rep.b_min, rep.attaining, rep.support_gaps) == loop_normality(x)
+    # half a 1-shift plus half a 2-shift on K_5 leaves the other arcs empty
+    w = np.zeros((5, 5))
+    for i in range(5):
+        w[i, (i + 1) % 5] += 0.5
+        w[i, (i + 2) % 5] += 0.5
+    y = PerfectFractionalMatching(complete_digraph(5), w)
+    rep = normality(y)
+    assert len(rep.support_gaps) == 10
+    assert (rep.b_min, rep.attaining, rep.support_gaps) == loop_normality(y)
