@@ -258,6 +258,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _plain(value):
+    """JSON fallback for diagnostics: numpy scalars as numbers, else text."""
+    return value.item() if hasattr(value, "item") else str(value)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -268,6 +273,10 @@ def main(argv=None) -> int:
         return 2
     except ProcedureError as exc:
         print(f"failure: {exc}", file=sys.stderr)
+        rest = {k: v for k, v in exc.diagnostics.items() if k != "trace"}
+        if rest:
+            text = json.dumps(rest, sort_keys=True, default=_plain)
+            print(f"diagnostics: {text}", file=sys.stderr)
         trace = exc.diagnostics.get("trace")
         if trace is not None and getattr(args, "out", None):
             Path(args.out).write_text(trace_to_json(trace))

@@ -310,10 +310,17 @@ class BoundExperiment:
 def verify_bound_experiment(
     g: Digraph, t: RootedOrientedTree, eps: float = 0.0
 ) -> BoundExperiment:
-    """Compare the exact unlabelled copy count with the entropy bound."""
-    note = ""
+    """Compare the exact unlabelled copy count with the entropy bound.
+
+    The bound is proved for spanning trees in hosts of minimum semidegree
+    above n/2; when either hypothesis fails the note says so.
+    """
+    notes = []
     if epsilon_of(g).epsilon <= 0:
-        note = "degree hypothesis unmet; bound is informational only"
+        notes.append("degree hypothesis unmet; bound is informational only")
+    if t.n < g.n:
+        notes.append("tree is not spanning; bound is informational only")
+    note = "; ".join(notes)
     try:
         h = digraph_entropy(g)
     except ProcedureError as exc:

@@ -120,8 +120,13 @@ def run_pipeline(
     retry_budget: int = 100,
     trunk_threshold: Optional[int] = None,
 ) -> PipelineTrace:
-    """Embed t into g stage by stage; raises ProcedureError with the trace
-    so far in its diagnostics when any stage exhausts its retry budget."""
+    """Embed t into g stage by stage.
+
+    Every ProcedureError raised once the stages begin, a failed re-solve
+    of a shrunken host included, carries the trace so far as ``trace`` in
+    its diagnostics.  ``params`` is accepted for compatibility and not
+    read.
+    """
     n = g.n
     if t.n > n:
         raise InputError(f"tree size {t.n} exceeds host size {n}")
@@ -131,8 +136,6 @@ def run_pipeline(
             semidegree_deficit=True,
         )
     notes: list[str] = []
-    if params is None:
-        params = AsymptoticParams(gamma=1.0, n=n)
     rng = stream(seed)
     if t.n == 1:
         return PipelineTrace(
@@ -194,9 +197,20 @@ def run_pipeline(
     def to_tree_id(piece_local: int, piece: TreePiece) -> int:
         return trunk_piece.vertices[piece.vertices[piece_local]]
 
+    def partial_trace() -> PipelineTrace:
+        return PipelineTrace(
+            success=False, mapping=mapping, stages=tuple(stages),
+            notes=tuple(notes), spanning=spanning, trunk_threshold=threshold,
+        )
+
     for idx, piece in enumerate(dec.pieces):
         if cur_x is None:
-            cur_x, _ = max_entropy_matching(cur_g)
+            try:
+                cur_x, _ = max_entropy_matching(cur_g)
+            except ProcedureError as exc:
+                raise ProcedureError(
+                    str(exc), **exc.diagnostics, stage=idx, trace=partial_trace()
+                ) from exc
             method = "scaling"
         if idx == 0:
             root_cur = int(rng.integers(0, cur_g.n))
@@ -216,12 +230,7 @@ def run_pipeline(
         if real is None:
             raise ProcedureError(
                 f"retry budget exhausted at stage {idx}",
-                stage=idx, retries=retries,
-                trace=PipelineTrace(
-                    success=False, mapping=mapping, stages=tuple(stages),
-                    notes=tuple(notes), spanning=spanning,
-                    trunk_threshold=threshold,
-                ),
+                stage=idx, retries=retries, trace=partial_trace(),
             )
         piece_bfs = piece.tree.bfs_order
         new_images_cur = []
@@ -232,7 +241,8 @@ def run_pipeline(
                 # overlap vertex: the forced root must agree with its image
                 if mapping[tree_id] != host_orig:
                     raise ProcedureError(
-                        "anchor image mismatch", stage=idx, vertex=tree_id
+                        "anchor image mismatch", stage=idx, vertex=tree_id,
+                        trace=partial_trace(),
                     )
                 continue
             mapping[tree_id] = host_orig
@@ -273,7 +283,7 @@ def run_pipeline(
         if not attach_out or not attach_in:
             raise ProcedureError(
                 "anchor lost all surviving neighbors on one side",
-                stage=idx, anchor=anchor_orig,
+                stage=idx, anchor=anchor_orig, trace=partial_trace(),
             )
         orig_to_cur = {orig: i for i, orig in enumerate(cur_to_orig)}
         try:
@@ -322,11 +332,7 @@ def run_pipeline(
         if image is None:
             raise ProcedureError(
                 "no completion embedding for the reserved branch",
-                trace=PipelineTrace(
-                    success=False, mapping=mapping, stages=tuple(stages),
-                    notes=tuple(notes), spanning=True,
-                    trunk_threshold=threshold,
-                ),
+                trace=partial_trace(),
             )
         inv = {new: orig for orig, new in relabel.items()}
         for bfs_i, aug_v in enumerate(aug.bfs_order):
@@ -336,12 +342,7 @@ def run_pipeline(
             mapping[tree_id] = inv[image[bfs_i]]
     if not validate_embedding(g, t, mapping):
         raise ProcedureError(
-            "assembled map failed replay validation",
-            trace=PipelineTrace(
-                success=False, mapping=mapping, stages=tuple(stages),
-                notes=tuple(notes), spanning=spanning,
-                trunk_threshold=threshold,
-            ),
+            "assembled map failed replay validation", trace=partial_trace()
         )
     return PipelineTrace(
         success=True, mapping=mapping, stages=tuple(stages),

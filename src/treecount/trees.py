@@ -473,25 +473,36 @@ def split_trunk(t: RootedOrientedTree, threshold: int) -> TrunkSplit:
 # ---------------------------------------------------------------------------
 
 def _rooted_code_and_aut(
-    t: RootedOrientedTree, v: int, respect_orientation: bool
-) -> tuple[tuple, int]:
-    child_items = []
-    aut = 1
-    for c in t.children[v]:
-        code, a = _rooted_code_and_aut(t, c, respect_orientation)
-        flag = t.edge_dir[c] if respect_orientation else ""
-        child_items.append(((flag, code), a))
-        aut *= a
-    child_items.sort(key=lambda it: it[0])
-    run = 1
-    for i in range(1, len(child_items) + 1):
-        if i < len(child_items) and child_items[i][0] == child_items[i - 1][0]:
-            run += 1
-        else:
-            aut *= math.factorial(run)
-            run = 1
-    code = tuple(it[0] for it in child_items)
-    return code, aut
+    t: RootedOrientedTree, respect_orientation: bool, codes: dict
+) -> tuple[int, int]:
+    """Canonical code and |Aut| of t as a rooted tree.
+
+    A vertex's code is the sorted tuple of (edge flag, child code) pairs of
+    its children, interned in ``codes`` as a small int, so two subtrees get
+    the same code exactly when they are isomorphic, for every tree sharing
+    the table.  Children come before parents in reversed BFS order, which
+    keeps the walk iterative and the codes shallow at any depth.
+    """
+    code = [0] * t.n
+    aut = [1] * t.n
+    for v in reversed(t.bfs_order):
+        child_items = sorted(
+            (t.edge_dir[c] if respect_orientation else "", code[c])
+            for c in t.children[v]
+        )
+        a = 1
+        for c in t.children[v]:
+            a *= aut[c]
+        run = 1
+        for i in range(1, len(child_items) + 1):
+            if i < len(child_items) and child_items[i] == child_items[i - 1]:
+                run += 1
+            else:
+                a *= math.factorial(run)
+                run = 1
+        code[v] = codes.setdefault(tuple(child_items), len(codes))
+        aut[v] = a
+    return code[t.root], aut[t.root]
 
 
 def _centroids(t: RootedOrientedTree) -> list[int]:
@@ -542,12 +553,13 @@ def automorphism_count(
     Unrooted automorphisms act on the underlying tree; when orientations are
     respected, every tree arc must map to an arc with the same direction.
     """
+    codes: dict = {}
     if rooted:
-        return _rooted_code_and_aut(t, t.root, respect_orientation)[1]
+        return _rooted_code_and_aut(t, respect_orientation, codes)[1]
     cents = _centroids(t)
     if len(cents) == 1:
         rt = _reroot(t, cents[0])
-        return _rooted_code_and_aut(rt, rt.root, respect_orientation)[1]
+        return _rooted_code_and_aut(rt, respect_orientation, codes)[1]
     c1, c2 = cents
     r1 = _reroot(t, c1)
     # split on the centroid edge: root each half at its centroid
@@ -556,8 +568,8 @@ def automorphism_count(
     half1_verts = [v for v in r1.bfs_order if v not in in_half2]
     p1 = _extract_piece(r1, half1_verts, c1)
     p2 = _extract_piece(r1, half2_verts, c2)
-    code1, a1 = _rooted_code_and_aut(p1.tree, p1.tree.root, respect_orientation)
-    code2, a2 = _rooted_code_and_aut(p2.tree, p2.tree.root, respect_orientation)
+    code1, a1 = _rooted_code_and_aut(p1.tree, respect_orientation, codes)
+    code2, a2 = _rooted_code_and_aut(p2.tree, respect_orientation, codes)
     total = a1 * a2
     # a swap of the centroids reverses the centroid edge, so it can only
     # be an automorphism when orientations are ignored

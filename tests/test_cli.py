@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import random_tree
+from helpers import random_dense_digraph, random_tree
 from treecount.cli import main
 from treecount.graphs import complete_digraph, directed_cycle, write_graph_text
 from treecount.trees import path_tree, write_tree_text
@@ -139,3 +139,37 @@ def test_json_reports_byte_identical(tmp_path, k6_file):
     main(["entropy", k6_file, "--out", out1])
     main(["entropy", k6_file, "--out", out2])
     assert open(out1, "rb").read() == open(out2, "rb").read()
+
+
+def test_failure_prints_diagnostics(tmp_path, capsys):
+    g = tmp_path / "cycle.txt"
+    g.write_text(write_graph_text(directed_cycle(6)))
+    t = tmp_path / "p3.txt"
+    t.write_text(write_tree_text(path_tree(3)))
+    assert main(["pipeline", str(g), str(t)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [
+        "failure: host minimum semidegree is not above half the order",
+        'diagnostics: {"semidegree_deficit": true}',
+    ]
+
+
+def test_pipeline_resolve_failure_writes_partial_trace(tmp_path, capsys):
+    # the rebalance gives up at some stage and the re-solve of the
+    # shrunken host hits its iteration cap
+    n = 40
+    host = random_dense_digraph(np.random.default_rng(1000 * n + 2), n, 24)
+    tree = random_tree(np.random.default_rng(2000 * n + 2), n, max_deg=6)
+    g, t = tmp_path / "g.txt", tmp_path / "t.txt"
+    g.write_text(write_graph_text(host))
+    t.write_text(write_tree_text(tree))
+    out = str(tmp_path / "trace.json")
+    assert main(["pipeline", str(g), str(t), "--seed", "1", "--out", out]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == "failure: scaling did not converge in 1000 iterations"
+    assert err[1].startswith("diagnostics: ")
+    diag = json.loads(err[1][len("diagnostics: "):])
+    assert diag["iterations"] == 1000 and diag["residual"] > 1e-10
+    payload = json.loads(open(out).read())
+    assert not payload["success"]
+    assert len(payload["stages"]) == diag["stage"] > 0

@@ -196,6 +196,13 @@ def test_verify_bound_hypothesis_failure():
     assert "hypothesis" in exp.note
 
 
+def test_verify_bound_non_spanning_tree():
+    # the bound is for spanning trees: 1680 copies fall below 1933.9
+    exp = verify_bound_experiment(complete_digraph(8), path_tree(4))
+    assert exp.count == 1680 and not exp.holds
+    assert exp.note == "tree is not spanning; bound is informational only"
+
+
 def test_hamilton_experiment_k6():
     exp = hamilton_cycle_experiment(complete_graph(6))
     assert exp.count == 60

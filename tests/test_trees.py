@@ -233,6 +233,29 @@ def test_automorphisms_match_brute_force():
                     (t.parent, t.edge_dir, rooted, respect)
 
 
+def test_automorphisms_of_deep_trees():
+    # all deeper than the interpreter's recursion limit
+    def counts(t):
+        return [automorphism_count(t, rooted, respect)
+                for rooted in (True, False) for respect in (True, False)]
+
+    # two centroids whose halves have 2500-level codes to compare
+    assert counts(path_tree(5000)) == [1, 1, 1, 2]
+    # max_deg=3 leaves the root two paths of unequal length
+    t = random_tree(np.random.default_rng(0), 10000, max_deg=3)
+    assert max(t.depth) == 5027
+    assert counts(t) == [1, 1, 1, 2]
+    # two identical 3000-vertex paths under the root swap
+    k = 3000
+    parent = [-1, 0, 0] + [v - 2 for v in range(3, 2 * k + 1)]
+    t = RootedOrientedTree(parent, [None] + [DOWN] * (2 * k))
+    assert counts(t) == [2, 2, 2, 2]
+    # a 4000-level spine ending in three leaves
+    parent = [-1] + list(range(3999)) + [3999] * 3
+    t = RootedOrientedTree(parent, [None] + [DOWN] * 4002)
+    assert counts(t) == [6, 6, 6, 6]
+
+
 def test_asymptotic_params():
     p = AsymptoticParams(gamma=1.0, n=100)
     assert p.delta_cap == pytest.approx(math.exp(math.sqrt(math.log(100))))
