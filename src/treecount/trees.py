@@ -9,7 +9,7 @@ broken by smallest vertex id so results are deterministic.
 from __future__ import annotations
 
 import math
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
@@ -490,16 +490,9 @@ def _rooted_code_and_aut(
             (t.edge_dir[c] if respect_orientation else "", code[c])
             for c in t.children[v]
         )
-        a = 1
-        for c in t.children[v]:
-            a *= aut[c]
-        run = 1
-        for i in range(1, len(child_items) + 1):
-            if i < len(child_items) and child_items[i] == child_items[i - 1]:
-                run += 1
-            else:
-                a *= math.factorial(run)
-                run = 1
+        a = math.prod(aut[c] for c in t.children[v])
+        for run in Counter(child_items).values():
+            a *= math.factorial(run)
         code[v] = codes.setdefault(tuple(child_items), len(codes))
         aut[v] = a
     return code[t.root], aut[t.root]
