@@ -486,6 +486,13 @@ def loop_normality(x):
     return b_min, attaining, ()
 
 
+def _mask(g: Digraph) -> np.ndarray:
+    mask = np.zeros((g.n, g.n), dtype=bool)
+    for u, v in g.edges:
+        mask[u, v] = True
+    return mask
+
+
 def _shrunken_weights(seed: int, n: int, drop: int):
     """Surviving max-entropy weights after deleting vertices, rescaled to
     total n - drop: the input rebalancing hands to the row repair."""
@@ -493,10 +500,7 @@ def _shrunken_weights(seed: int, n: int, drop: int):
     g = random_dense_digraph(rng, n, min_deg=int(0.6 * n))
     x, _ = max_entropy_matching(g)
     keep = sorted(rng.choice(n, size=n - drop, replace=False).tolist())
-    mask = np.zeros((n, n), dtype=bool)
-    for u, v in g.edges:
-        mask[u, v] = True
-    mask = mask[np.ix_(keep, keep)]
+    mask = _mask(g)[np.ix_(keep, keep)]
     w = np.array(x.weights[np.ix_(keep, keep)])
     w *= len(keep) / w.sum()
     return w, mask
@@ -507,9 +511,7 @@ def _random_weights(seed: int, n: int = 20):
     their unit sums by up to about half, so some repairs take two passes."""
     rng = np.random.default_rng(seed)
     g = random_dense_digraph(rng, n, min_deg=12)
-    mask = np.zeros((n, n), dtype=bool)
-    for u, v in g.edges:
-        mask[u, v] = True
+    mask = _mask(g)
     w = mask * rng.uniform(0.2, 2.0, size=(n, n))
     w *= n / w.sum()
     return w, mask
@@ -560,6 +562,9 @@ def test_normality_matches_loop_reference(seed):
     for x in (max_entropy_matching(g)[0], scaled_random_pfm(rng, g)):
         rep = normality(x)
         assert (rep.b_min, rep.attaining, rep.support_gaps) == loop_normality(x)
+
+
+def test_normality_gaps_match_loop_reference():
     # half a 1-shift plus half a 2-shift on K_5 leaves the other arcs empty
     w = np.zeros((5, 5))
     for i in range(5):
