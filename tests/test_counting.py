@@ -23,7 +23,98 @@ from treecount.counting import (
 from treecount.errors import InputError, ProcedureError
 from treecount.graphs import complete_digraph, complete_graph, directed_cycle
 from treecount.matching import max_entropy_matching
-from treecount.trees import RootedOrientedTree, path_tree
+from treecount.pipeline import _find_embedding
+from treecount.trees import DOWN, RootedOrientedTree, path_tree
+
+
+def _first_embedding(g, t, root_image):
+    return _find_embedding(g, t, root_image)
+
+
+# Reference searches: the recursive BFS-order backtracking that brute
+# counting and placement used before one iterative search replaced them.
+
+def _reference_count(g, t, root_image=None, budget=50_000_000):
+    order = t.bfs_order
+    pos = {v: i for i, v in enumerate(order)}
+    parents = [None] + [(pos[t.parent[v]], t.edge_dir[v]) for v in order[1:]]
+    visits = 0
+    used = [False] * g.n
+    image = [0] * t.n
+
+    def extend(i):
+        nonlocal visits
+        if i == t.n:
+            return 1
+        pi, d = parents[i]
+        p_img = image[pi]
+        cands = g.out_adj[p_img] if d == DOWN else g.in_adj[p_img]
+        total = 0
+        for c in cands:
+            if used[c]:
+                continue
+            visits += 1
+            if visits > budget:
+                raise ProcedureError(
+                    "backtracking budget exceeded; partial count invalid",
+                    visits=visits,
+                )
+            used[c] = True
+            image[i] = c
+            total += extend(i + 1)
+            used[c] = False
+        return total
+
+    labelled = 0
+    roots = [root_image] if root_image is not None else range(g.n)
+    for r in roots:
+        used[r] = True
+        image[0] = r
+        labelled += extend(1)
+        used[r] = False
+    return labelled
+
+
+def _reference_first(g, t, root_image):
+    order = t.bfs_order
+    pos = {v: i for i, v in enumerate(order)}
+    parents = [None] + [(pos[t.parent[v]], t.edge_dir[v]) for v in order[1:]]
+    used = [False] * g.n
+    image = [0] * t.n
+
+    def extend(i):
+        if i == t.n:
+            return True
+        pi, d = parents[i]
+        cands = g.out_adj[image[pi]] if d == DOWN else g.in_adj[image[pi]]
+        for c in cands:
+            if used[c]:
+                continue
+            used[c] = True
+            image[i] = c
+            if extend(i + 1):
+                return True
+            used[c] = False
+        return False
+
+    used[root_image] = True
+    image[0] = root_image
+    return list(image) if extend(1) else None
+
+
+def _search_cases():
+    """(host, tree, root image) triples with at most 9 host vertices."""
+    cases = []
+    for k in range(64):
+        rng = np.random.default_rng([7, k])
+        n = int(rng.integers(2, 10))
+        g = random_dense_digraph(rng, n, min_deg=int(rng.integers(1, n)))
+        t = random_tree(rng, int(rng.integers(1, n + 1)), max_deg=4)
+        cases.append((g, t, int(rng.integers(0, n))))
+    star = RootedOrientedTree([-1, 0, 0], [None, DOWN, DOWN])
+    cases.append((directed_cycle(5), star, 2))   # no embedding at all
+    cases.append((directed_cycle(4), RootedOrientedTree([-1], [None]), 3))
+    return cases
 
 
 def test_hamilton_path_k5():
@@ -52,6 +143,48 @@ def test_rooted_counts_sum_to_total():
         count_copies_brute(g, t, root_image=v).labelled for v in range(7)
     )
     assert total == by_root
+
+
+def test_search_matches_recursive_reference():
+    found = missing = 0
+    for g, t, root in _search_cases():
+        assert count_copies_brute(g, t).labelled == _reference_count(g, t)
+        rooted = count_copies_brute(g, t, root_image=root).labelled
+        assert rooted == _reference_count(g, t, root_image=root)
+        first = _first_embedding(g, t, root)
+        assert first == _reference_first(g, t, root)
+        assert (first is not None) == (rooted > 0)
+        found += first is not None
+        missing += first is None
+    assert found >= 40 and missing >= 1
+
+
+def test_single_vertex_tree_search():
+    g = random_dense_digraph(np.random.default_rng(43), 6, min_deg=3)
+    t = RootedOrientedTree([-1], [None])
+    assert count_copies_brute(g, t).labelled == g.n == _reference_count(g, t)
+    assert _first_embedding(g, t, 4) == [4] == _reference_first(g, t, 4)
+
+
+def test_budget_overrun_matches_reference():
+    rng = np.random.default_rng(44)
+    g = random_dense_digraph(rng, 8, min_deg=5)
+    t = random_tree(rng, 6, max_deg=3)
+    for budget in (1, 10, 1000):
+        with pytest.raises(ProcedureError) as got:
+            count_copies_brute(g, t, budget=budget)
+        with pytest.raises(ProcedureError) as want:
+            _reference_count(g, t, budget=budget)
+        assert str(got.value) == str(want.value)
+        assert got.value.diagnostics == want.value.diagnostics
+        assert got.value.diagnostics == {"visits": budget + 1}
+
+
+def test_deep_path_count():
+    # one copy per starting vertex; a search that recurses per tree
+    # vertex overflows the interpreter stack here
+    rep = count_copies_brute(directed_cycle(1200), path_tree(1200))
+    assert rep.labelled == 1200 and rep.unlabelled == 1200
 
 
 def test_brute_size_and_budget_errors():

@@ -97,3 +97,13 @@ def test_resolve_failure_keeps_partial_trace():
     assert [s.index for s in trace.stages] == list(range(diag["stage"]))
     images = [v for s in trace.stages for v in s.images]
     assert set(trace.mapping.values()) <= set(images)
+
+
+def test_direct_placement_of_deep_path():
+    # threshold = n makes the split degenerate, so the whole path is
+    # placed by one backtracking search over 1100 levels
+    g, t = complete_digraph(1100), path_tree(1100)
+    trace = run_pipeline(g, t, trunk_threshold=1100)
+    assert trace.success and trace.stages == ()
+    assert "degenerate split: direct placement" in trace.notes
+    assert validate_embedding(g, t, trace.mapping)
