@@ -13,7 +13,7 @@ import io
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -35,6 +35,87 @@ class CountReport:
     ci: Optional[tuple[float, float, float]] = None   # (low, high, confidence)
 
 
+def _embeddings(
+    g: Digraph,
+    t: RootedOrientedTree,
+    roots: Iterable[int],
+    budget: Optional[int] = None,
+) -> Iterator[list[int]]:
+    """Every copy of t in g with its root image in ``roots``.
+
+    Backtracking in BFS order, without recursion: the roots in the order
+    given, each tree vertex's candidates in ``out_adj``/``in_adj`` order of
+    its parent's image.  Each copy is yielded as the list of host images in
+    ``t.bfs_order``, one list updated in place, so copy it to keep it.
+    Every placed non-root vertex counts one visit, across all roots; past
+    ``budget`` visits the search raises ProcedureError.
+    """
+    image = [0] * t.n
+    last = t.n - 1
+    if last == 0:
+        for r in roots:
+            image[0] = r
+            yield image
+        return
+    order = t.bfs_order
+    pos = {v: i for i, v in enumerate(order)}
+    # for BFS position i >= 1: the adjacency lists its candidates come
+    # from, and the BFS position of its parent
+    steps = [None] + [
+        (g.out_adj if t.edge_dir[v] == DOWN else g.in_adj, pos[t.parent[v]])
+        for v in order[1:]
+    ]
+    leaf_adj, leaf_parent = steps[last]
+    limit = math.inf if budget is None else budget
+    used = [False] * g.n
+    visits = 0
+    for r in roots:
+        image[0] = r
+        used[r] = True
+        # stack[i - 1] walks the candidates for BFS position i < last; the
+        # last position is scanned in place, every free candidate a copy
+        stack = [iter(steps[1][0][r])] if last > 1 else []
+        i = 1
+        while i:
+            if i < last:
+                for c in stack[-1]:
+                    if used[c]:
+                        continue
+                    visits += 1
+                    if visits > limit:
+                        raise _budget_exceeded(visits)
+                    image[i] = c
+                    used[c] = True
+                    i += 1
+                    if i < last:
+                        adj, p = steps[i]
+                        stack.append(iter(adj[image[p]]))
+                    break
+                else:
+                    # position i is exhausted: free the image before it
+                    stack.pop()
+                    i -= 1
+                    used[image[i]] = False
+                continue
+            for c in leaf_adj[image[leaf_parent]]:
+                if used[c]:
+                    continue
+                visits += 1
+                if visits > limit:
+                    raise _budget_exceeded(visits)
+                image[i] = c
+                yield image
+            # the last position is exhausted too
+            i -= 1
+            used[image[i]] = False
+
+
+def _budget_exceeded(visits: int) -> ProcedureError:
+    return ProcedureError(
+        "backtracking budget exceeded; partial count invalid", visits=visits
+    )
+
+
 def count_copies_brute(
     g: Digraph,
     t: RootedOrientedTree,
@@ -46,45 +127,10 @@ def count_copies_brute(
         raise InputError(f"tree size {t.n} exceeds host size {g.n}")
     if root_image is not None and not (0 <= root_image < g.n):
         raise InputError(f"root image {root_image} out of range")
-    order = t.bfs_order
-    pos = {v: i for i, v in enumerate(order)}
-    parents = [None] + [
-        (pos[t.parent[v]], t.edge_dir[v]) for v in order[1:]
-    ]
-    visits = 0
-    used = [False] * g.n
-    image = [0] * t.n
-
-    def extend(i: int) -> int:
-        nonlocal visits
-        if i == t.n:
-            return 1
-        pi, d = parents[i]
-        p_img = image[pi]
-        cands = g.out_adj[p_img] if d == DOWN else g.in_adj[p_img]
-        total = 0
-        for c in cands:
-            if used[c]:
-                continue
-            visits += 1
-            if visits > budget:
-                raise ProcedureError(
-                    "backtracking budget exceeded; partial count invalid",
-                    visits=visits,
-                )
-            used[c] = True
-            image[i] = c
-            total += extend(i + 1)
-            used[c] = False
-        return total
-
-    labelled = 0
     roots = [root_image] if root_image is not None else range(g.n)
-    for r in roots:
-        used[r] = True
-        image[0] = r
-        labelled += extend(1)
-        used[r] = False
+    labelled = 0
+    for _ in _embeddings(g, t, roots, budget):
+        labelled += 1
     if root_image is None:
         aut = automorphism_count(t, rooted=False, respect_orientation=True)
         if labelled % aut != 0:
@@ -96,36 +142,6 @@ def count_copies_brute(
     else:
         unlabelled = None
     return CountReport(labelled=labelled, unlabelled=unlabelled, method="brute")
-
-
-def _embedding_exists(
-    g: Digraph, t: RootedOrientedTree, root_image: int
-) -> bool:
-    order = t.bfs_order
-    pos = {v: i for i, v in enumerate(order)}
-    parents = [None] + [(pos[t.parent[v]], t.edge_dir[v]) for v in order[1:]]
-    used = [False] * g.n
-    image = [0] * t.n
-
-    def extend(i: int) -> bool:
-        if i == t.n:
-            return True
-        pi, d = parents[i]
-        cands = g.out_adj[image[pi]] if d == DOWN else g.in_adj[image[pi]]
-        for c in cands:
-            if used[c]:
-                continue
-            used[c] = True
-            image[i] = c
-            if extend(i + 1):
-                used[c] = False
-                return True
-            used[c] = False
-        return False
-
-    used[root_image] = True
-    image[0] = root_image
-    return extend(1)
 
 
 def estimate_copies(
@@ -263,7 +279,7 @@ def absorbing_pair_search(
                     )
                 b_set = sorted(a_set + extra)
                 sub, relabel = induced_subgraph(g, b_set)
-                if not _embedding_exists(sub, rooted, relabel[v]):
+                if next(_embeddings(sub, rooted, [relabel[v]]), None) is None:
                     good = False
                     break
             if good:

@@ -13,6 +13,7 @@ import json
 from dataclasses import dataclass
 from typing import Optional
 
+from .counting import _embeddings
 from .errors import InputError, ProcedureError
 from .graphs import Digraph, epsilon_of, induced_subgraph
 from .matching import (
@@ -25,7 +26,6 @@ from .matching import (
 from .randtree import sample_tree
 from .rng import stream
 from .trees import (
-    AsymptoticParams,
     DOWN,
     RootedOrientedTree,
     TreePiece,
@@ -82,40 +82,9 @@ def validate_embedding(
     return True
 
 
-def _find_embedding(
-    g: Digraph, t: RootedOrientedTree, root_image: int
-) -> Optional[list[int]]:
-    """First injective embedding with the root image forced, BFS order."""
-    order = t.bfs_order
-    pos = {v: i for i, v in enumerate(order)}
-    parents = [None] + [(pos[t.parent[v]], t.edge_dir[v]) for v in order[1:]]
-    used = [False] * g.n
-    image = [0] * t.n
-
-    def extend(i: int) -> bool:
-        if i == t.n:
-            return True
-        pi, d = parents[i]
-        cands = g.out_adj[image[pi]] if d == DOWN else g.in_adj[image[pi]]
-        for c in cands:
-            if used[c]:
-                continue
-            used[c] = True
-            image[i] = c
-            if extend(i + 1):
-                return True
-            used[c] = False
-        return False
-
-    used[root_image] = True
-    image[0] = root_image
-    return list(image) if extend(1) else None
-
-
 def run_pipeline(
     g: Digraph,
     t: RootedOrientedTree,
-    params: Optional[AsymptoticParams] = None,
     seed: int = 0,
     retry_budget: int = 100,
     trunk_threshold: Optional[int] = None,
@@ -124,8 +93,7 @@ def run_pipeline(
 
     Every ProcedureError raised once the stages begin, a failed re-solve
     of a shrunken host included, carries the trace so far as ``trace`` in
-    its diagnostics.  ``params`` is accepted for compatibility and not
-    read.
+    its diagnostics.
     """
     n = g.n
     if t.n > n:
@@ -157,12 +125,7 @@ def run_pipeline(
         if split.degenerate or split.trunk is None:
             # the whole tree is small enough to place exhaustively
             start = int(rng.integers(0, n))
-            image = _find_embedding(g, t, start)
-            if image is None:
-                for alt in range(n):
-                    image = _find_embedding(g, t, alt)
-                    if image is not None:
-                        break
+            image = next(_embeddings(g, t, [start, *range(n)]), None)
             if image is None:
                 raise ProcedureError("no embedding exists", stage="direct")
             mapping = {v: image[i] for i, v in enumerate(t.bfs_order)}
@@ -328,7 +291,7 @@ def run_pipeline(
             for v in range(b_tree.n)
         ]
         aug = RootedOrientedTree(aug_parent, aug_dir)
-        image = _find_embedding(sub, aug, relabel[attach_img])
+        image = next(_embeddings(sub, aug, [relabel[attach_img]]), None)
         if image is None:
             raise ProcedureError(
                 "no completion embedding for the reserved branch",

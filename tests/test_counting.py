@@ -10,6 +10,7 @@ from helpers import random_dense_digraph, random_tree
 from treecount.counting import (
     AbsorbingPair,
     BoundInputs,
+    _embeddings,
     absorbing_pair_search,
     count_copies_brute,
     count_hamilton_cycles,
@@ -23,12 +24,12 @@ from treecount.counting import (
 from treecount.errors import InputError, ProcedureError
 from treecount.graphs import complete_digraph, complete_graph, directed_cycle
 from treecount.matching import max_entropy_matching
-from treecount.pipeline import _find_embedding
 from treecount.trees import DOWN, RootedOrientedTree, path_tree
 
 
 def _first_embedding(g, t, root_image):
-    return _find_embedding(g, t, root_image)
+    image = next(_embeddings(g, t, [root_image]), None)
+    return None if image is None else list(image)
 
 
 # Reference searches: the recursive BFS-order backtracking that brute
