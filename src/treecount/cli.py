@@ -14,6 +14,7 @@ from pathlib import Path
 
 from .counting import (
     BoundInputs,
+    bound_note,
     count_copies_brute,
     count_report_to_dict,
     directed_lower_bound,
@@ -76,14 +77,14 @@ def cmd_entropy(args) -> int:
 def cmd_count(args) -> int:
     g = _read_graph(args.graph)
     t = _read_tree(args.tree)
+    x, _ = max_entropy_matching(g, tol=args.tol)
     if args.mode == "brute":
         rep = count_copies_brute(g, t)
     else:
-        x, _ = max_entropy_matching(g, tol=args.tol)
         rep = estimate_copies(
             g, x, t, samples=args.samples, seed=args.seed, workers=args.workers
         )
-    h = matching_entropy(max_entropy_matching(g, tol=args.tol)[0])
+    h = matching_entropy(x)
     aut = automorphism_count(t, rooted=False, respect_orientation=True)
     bound = directed_lower_bound(
         BoundInputs(n=g.n, h=h, eps=args.eps, aut=aut)
@@ -95,6 +96,7 @@ def cmd_count(args) -> int:
         "bound_log2": bound.log2,
         "bound_value": bound.value,
         "holds": (rep.unlabelled or 0) >= bound.value,
+        "note": bound_note(g, t),
     })
     _emit(args, payload, "count.json")
     return 0
@@ -204,56 +206,48 @@ def build_parser() -> argparse.ArgumentParser:
                     "tree embeddings in dense digraphs",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    options = {
+        "--seed": dict(type=int, default=0),
+        "--samples": dict(type=int, default=10000),
+        "--workers": dict(type=int, default=1),
+        "--tol": dict(type=float, default=1e-10),
+        "--eps": dict(type=float, default=0.0),
+        "--format": dict(choices=("json", "csv"), default="json"),
+        "--mode": dict(choices=("brute", "estimate"), default="brute"),
+        "--start": dict(type=int, default=None),
+        "--t-min": dict(type=int, default=1),
+        "--t-max": dict(type=int, default=200),
+        "--n0": dict(type=int, default=None),
+        "--retries": dict(type=int, default=100),
+        "--threshold": dict(type=int, default=None),
+    }
+    inputs = {"graph": "edge-list file", "tree": "tree file"}
 
-    def common(p, graph=True, tree=False):
-        if graph:
-            p.add_argument("graph", help="edge-list file")
-        if tree:
-            p.add_argument("tree", help="tree file")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--samples", type=int, default=10000)
-        p.add_argument("--workers", type=int, default=1)
-        p.add_argument("--tol", type=float, default=1e-10)
-        p.add_argument("--eps", type=float, default=0.0)
+    def command(name, func, help, positionals, flags):
+        # each subcommand declares only the flags its cmd_* function reads
+        p = sub.add_parser(name, help=help)
+        for arg in positionals:
+            p.add_argument(arg, help=inputs[arg])
+        for flag in flags:
+            p.add_argument(flag, **options[flag])
         p.add_argument("--out", default=None)
-        p.add_argument("--format", choices=("json", "csv"), default="json")
+        p.set_defaults(func=func)
 
-    p = sub.add_parser("entropy", help="max-entropy matching of a graph")
-    common(p)
-    p.set_defaults(func=cmd_entropy)
-
-    p = sub.add_parser("count", help="count copies of a tree")
-    common(p, tree=True)
-    p.add_argument("--mode", choices=("brute", "estimate"), default="brute")
-    p.set_defaults(func=cmd_count)
-
-    p = sub.add_parser("sample", help="sample random tree embeddings")
-    common(p, tree=True)
-    p.add_argument("--start", type=int, default=None)
-    p.set_defaults(func=cmd_sample)
-
-    p = sub.add_parser("mixing", help="walk-marginal mixing report")
-    common(p)
-    p.add_argument("--t-min", type=int, default=1)
-    p.add_argument("--t-max", type=int, default=200)
-    p.set_defaults(func=cmd_mixing)
-
-    p = sub.add_parser("decompose", help="quarter-power tree decomposition")
-    p.add_argument("tree", help="tree file")
-    p.add_argument("--n0", type=int, default=None)
-    p.add_argument("--out", default=None)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.set_defaults(func=cmd_decompose)
-
-    p = sub.add_parser("pipeline", help="iterative tree embedding")
-    common(p, tree=True)
-    p.add_argument("--retries", type=int, default=100)
-    p.add_argument("--threshold", type=int, default=None)
-    p.set_defaults(func=cmd_pipeline)
-
-    p = sub.add_parser("verify", help="copy count against the entropy bound")
-    common(p, tree=True)
-    p.set_defaults(func=cmd_verify)
+    command("entropy", cmd_entropy, "max-entropy matching of a graph",
+            ["graph"], ["--tol"])
+    command("count", cmd_count, "count copies of a tree", ["graph", "tree"],
+            ["--mode", "--tol", "--eps", "--samples", "--seed", "--workers"])
+    command("sample", cmd_sample, "sample random tree embeddings",
+            ["graph", "tree"],
+            ["--tol", "--samples", "--seed", "--workers", "--start"])
+    command("mixing", cmd_mixing, "walk-marginal mixing report",
+            ["graph"], ["--tol", "--t-min", "--t-max"])
+    command("decompose", cmd_decompose, "quarter-power tree decomposition",
+            ["tree"], ["--n0"])
+    command("pipeline", cmd_pipeline, "iterative tree embedding",
+            ["graph", "tree"], ["--seed", "--retries", "--threshold"])
+    command("verify", cmd_verify, "copy count against the entropy bound",
+            ["graph", "tree"], ["--eps", "--format"])
 
     return parser
 

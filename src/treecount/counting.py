@@ -309,6 +309,20 @@ def count_hamilton_cycles(g: Graph) -> int:
 # end-to-end bound experiments
 # ---------------------------------------------------------------------------
 
+def bound_note(g: Digraph, t: RootedOrientedTree) -> str:
+    """Which hypotheses of the bound (g, t) fails, or "" if it meets both.
+
+    The bound is proved for spanning trees in hosts of minimum semidegree
+    above n/2.
+    """
+    notes = []
+    if epsilon_of(g).epsilon <= 0:
+        notes.append("degree hypothesis unmet; bound is informational only")
+    if t.n < g.n:
+        notes.append("tree is not spanning; bound is informational only")
+    return "; ".join(notes)
+
+
 @dataclass(frozen=True)
 class BoundExperiment:
     n: int
@@ -326,17 +340,8 @@ class BoundExperiment:
 def verify_bound_experiment(
     g: Digraph, t: RootedOrientedTree, eps: float = 0.0
 ) -> BoundExperiment:
-    """Compare the exact unlabelled copy count with the entropy bound.
-
-    The bound is proved for spanning trees in hosts of minimum semidegree
-    above n/2; when either hypothesis fails the note says so.
-    """
-    notes = []
-    if epsilon_of(g).epsilon <= 0:
-        notes.append("degree hypothesis unmet; bound is informational only")
-    if t.n < g.n:
-        notes.append("tree is not spanning; bound is informational only")
-    note = "; ".join(notes)
+    """Compare the exact unlabelled copy count with the entropy bound."""
+    note = bound_note(g, t)
     try:
         h = digraph_entropy(g)
     except ProcedureError as exc:

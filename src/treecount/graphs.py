@@ -117,12 +117,6 @@ class BipartiteDouble:
     n: int
     edges: frozenset  # pairs (i, j) meaning v_i^+ v_j^-
 
-    def deg_plus(self, i: int) -> int:
-        return sum(1 for e in self.edges if e[0] == i)
-
-    def deg_minus(self, j: int) -> int:
-        return sum(1 for e in self.edges if e[1] == j)
-
 
 @dataclass(frozen=True)
 class EpsilonWitness:

@@ -155,7 +155,6 @@ class RealisationBatch:
     images: np.ndarray           # shape (samples, tree size), BFS order
     log_probs: np.ndarray        # base-2
     self_avoiding: np.ndarray    # bool
-    well_behaved: Optional[np.ndarray] = None
 
 
 def sample_trees_batch(
@@ -464,17 +463,16 @@ def mixing_check(
 
 
 # ---------------------------------------------------------------------------
-# CSV batches: seed, worker, images, log_prob, self_avoiding, well_behaved
+# CSV batches: seed, worker, images, log_prob, self_avoiding
 # ---------------------------------------------------------------------------
 
 def batch_to_csv(batch: RealisationBatch) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(
-        ["seed", "worker", "images", "log_prob", "self_avoiding", "well_behaved"]
+        ["seed", "worker", "images", "log_prob", "self_avoiding"]
     )
     k = batch.images.shape[0]
-    wb = batch.well_behaved
     for i in range(k):
         writer.writerow([
             batch.seed,
@@ -482,6 +480,5 @@ def batch_to_csv(batch: RealisationBatch) -> str:
             " ".join(str(v) for v in batch.images[i]),
             f"{batch.log_probs[i]:.17g}",
             int(batch.self_avoiding[i]),
-            "" if wb is None else int(wb[i]),
         ])
     return buf.getvalue()

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from helpers import random_dense_digraph, random_tree
+from treecount import cli
 from treecount.cli import main
 from treecount.graphs import complete_digraph, directed_cycle, write_graph_text
 from treecount.trees import path_tree, write_tree_text
@@ -53,7 +54,48 @@ def test_count_command_brute(tmp_path, path5_file):
     payload = json.loads(open(out).read())
     assert payload["count"]["labelled"] == 120
     assert payload["bound_value"] == pytest.approx(6.9, abs=0.01)
-    assert payload["holds"]
+    assert payload["holds"] and payload["note"] == ""
+
+
+def test_count_notes_non_spanning_tree(tmp_path):
+    # 1680 copies of the 4-vertex path fall below the spanning bound 1933.9
+    g, t = tmp_path / "k8.txt", tmp_path / "p4.txt"
+    g.write_text(write_graph_text(complete_digraph(8)))
+    t.write_text(write_tree_text(path_tree(4)))
+    out = str(tmp_path / "count.json")
+    assert main(["count", str(g), str(t), "--out", out]) == 0
+    payload = json.loads(open(out).read())
+    assert payload["count"]["unlabelled"] == 1680 and not payload["holds"]
+    assert payload["note"] == "tree is not spanning; bound is informational only"
+
+
+def test_count_estimate_solves_once(tmp_path, path5_file, monkeypatch):
+    calls = []
+
+    def solve(*args, **kwargs):
+        calls.append(args)
+        return solve_matching(*args, **kwargs)
+
+    solve_matching = cli.max_entropy_matching
+    monkeypatch.setattr(cli, "max_entropy_matching", solve)
+    g = tmp_path / "k6.txt"
+    g.write_text(write_graph_text(complete_digraph(6)))
+    out = str(tmp_path / "count.json")
+    assert main(["count", str(g), path5_file, "--mode", "estimate",
+                 "--samples", "100", "--out", out]) == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["entropy", "g.txt", "--samples", "5"],
+    ["decompose", "t.txt", "--format", "csv"],
+])
+def test_unread_flags_rejected(argv, capsys):
+    # a subcommand accepts only the flags it reads
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_count_oversized_tree_exit_2(tmp_path, path5_file):
@@ -83,7 +125,7 @@ def test_sample_command_deterministic(tmp_path, k6_file, path5_file):
     assert main(args + ["--out", out2]) == 0
     assert open(out1, "rb").read() == open(out2, "rb").read()
     header = open(out1).readline().strip()
-    assert header == "seed,worker,images,log_prob,self_avoiding,well_behaved"
+    assert header == "seed,worker,images,log_prob,self_avoiding"
 
 
 def test_mixing_command(tmp_path, k6_file):

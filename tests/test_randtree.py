@@ -248,7 +248,7 @@ def test_batch_csv():
     batch = sample_trees_batch(x.host, x, t, 5, seed=11, start=0)
     text = batch_to_csv(batch)
     lines = text.strip().split("\n")
-    assert lines[0] == "seed,worker,images,log_prob,self_avoiding,well_behaved"
+    assert lines[0] == "seed,worker,images,log_prob,self_avoiding"
     assert len(lines) == 6
     # identical seeds give identical artifacts
     batch2 = sample_trees_batch(x.host, x, t, 5, seed=11, start=0)
