@@ -223,9 +223,9 @@ def build_parser() -> argparse.ArgumentParser:
     }
     inputs = {"graph": "edge-list file", "tree": "tree file"}
 
-    def command(name, func, help, positionals, flags):
+    def command(name, func, summary, positionals, flags):
         # each subcommand declares only the flags its cmd_* function reads
-        p = sub.add_parser(name, help=help)
+        p = sub.add_parser(name, help=summary)
         for arg in positionals:
             p.add_argument(arg, help=inputs[arg])
         for flag in flags:

@@ -310,7 +310,7 @@ def count_hamilton_cycles(g: Graph) -> int:
 # ---------------------------------------------------------------------------
 
 def bound_note(g: Digraph, t: RootedOrientedTree) -> str:
-    """Which hypotheses of the bound (g, t) fails, or "" if it meets both.
+    """The hypotheses of the bound that (g, t) fails, as a note; "" if none.
 
     The bound is proved for spanning trees in hosts of minimum semidegree
     above n/2.
