@@ -24,7 +24,6 @@ from .rng import as_stream
 from .trees import DOWN, UP, RootedOrientedTree
 
 MARGINAL_TOL = 1e-10
-_CHUNK = 200_000
 
 
 @dataclass(frozen=True)
@@ -79,6 +78,52 @@ def _check_inputs(
         raise InputError(f"start vertex {start} out of range")
 
 
+def _draw(
+    x: PerfectFractionalMatching,
+    t: RootedOrientedTree,
+    roots: np.ndarray,
+    rng: np.random.Generator,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Embed t once per root; return the images and base-2 log-probabilities.
+
+    Images come out as an array of shape (len(roots), t.n) in BFS order.
+    Each tree edge draws one uniform per embedding.  A child's image is
+    the first cell of the parent image's row whose cumulative weight
+    reaches u times the row total, found by one binary search over the
+    complex keys ``row + 1j * cumsum(row)``: numpy orders complex numbers
+    by real part first, so the search stays inside the parent's row.
+    """
+    trans = _transition_matrices(x)
+    n = x.n
+    keys, totals = {}, {}
+    for d in {t.edge_dir[v] for v in t.bfs_order if v != t.root}:
+        cdf = np.cumsum(trans[d], axis=1)
+        totals[d] = cdf[:, -1]
+        keys[d] = (np.arange(n)[:, None] + 1j * cdf).ravel()
+    pos = _bfs_index(t)
+    k = len(roots)
+    images = np.empty((k, t.n), dtype=np.int64)
+    images[:, pos[t.root]] = roots
+    log_probs = np.zeros(k)
+    for v in t.bfs_order:
+        if v == t.root:
+            continue
+        d = t.edge_dir[v]
+        parents = images[:, pos[t.parent[v]]]
+        u = rng.random(k) * totals[d][parents]
+        child = np.searchsorted(keys[d], parents + 1j * u) - parents * n
+        p = trans[d][parents, child]
+        bad = p <= 0
+        if bad.any():
+            raise ProcedureError(
+                "sampled a zero-weight arc; matching has support gaps",
+                count=int(bad.sum()),
+            )
+        images[:, pos[v]] = child
+        log_probs += np.log2(p)
+    return images, log_probs
+
+
 def sample_tree(
     g: Digraph,
     x: PerfectFractionalMatching,
@@ -88,41 +133,11 @@ def sample_tree(
 ) -> Realisation:
     """Sample one random embedding of t rooted at start."""
     _check_inputs(g, x, start)
-    rng = as_stream(seed)
-    trans = _transition_matrices(x)
-    images = [0] * t.n
-    images[_bfs_index(t)[t.root]] = start
-    order = t.bfs_order
-    pos = _bfs_index(t)
-    log_prob = 0.0
-    for v in order:
-        if v == t.root:
-            continue
-        parent_img = images[pos[t.parent[v]]]
-        row = trans[t.edge_dir[v]][parent_img]
-        total = row.sum()
-        if total <= 0:
-            raise ProcedureError(
-                "no admissible neighbor on the required side",
-                vertex=parent_img, direction=t.edge_dir[v],
-            )
-        u = rng.random()
-        child_img = int(np.searchsorted(np.cumsum(row), u * total, side="right"))
-        child_img = min(child_img, g.n - 1)
-        p = row[child_img]
-        if p <= 0:
-            # landed on a zero cell through rounding; take the next positive
-            positive = np.flatnonzero(row)
-            child_img = int(positive[np.searchsorted(
-                np.cumsum(row[positive]), u * total, side="right"
-            ).clip(0, len(positive) - 1)])
-            p = row[child_img]
-        images[pos[v]] = child_img
-        log_prob += math.log2(p / total) + math.log2(total)
-    imgs = tuple(images)
+    images, log_probs = _draw(x, t, np.array([start]), as_stream(seed))
+    imgs = tuple(images[0].tolist())
     return Realisation(
         images=imgs,
-        log_prob=log_prob,
+        log_prob=float(log_probs[0]),
         self_avoiding=len(set(imgs)) == len(imgs),
     )
 
@@ -171,51 +186,15 @@ def sample_trees_batch(
     if samples < 1:
         raise InputError("need at least one sample")
     rng = as_stream(seed, worker)
-    trans = _transition_matrices(x)
-    cdfs = {d: np.cumsum(m, axis=1) for d, m in trans.items()}
-    totals = {d: c[:, -1] for d, c in cdfs.items()}
-    if min(totals[DOWN].min(), totals[UP].min()) <= 0:
-        raise ProcedureError("a vertex has no admissible neighbors on one side")
-    pos = _bfs_index(t)
-    n = g.n
-    out_images = np.empty((samples, t.n), dtype=np.int64)
-    out_logp = np.empty(samples)
-    out_sa = np.empty(samples, dtype=bool)
-    done = 0
-    while done < samples:
-        k = min(_CHUNK, samples - done)
-        imgs = np.empty((k, t.n), dtype=np.int64)
-        logp = np.zeros(k)
-        if start is None:
-            imgs[:, pos[t.root]] = rng.integers(0, n, size=k)
-        else:
-            imgs[:, pos[t.root]] = start
-        for v in t.bfs_order:
-            if v == t.root:
-                continue
-            d = t.edge_dir[v]
-            parents = imgs[:, pos[t.parent[v]]]
-            u = rng.random(k) * totals[d][parents]
-            rows = cdfs[d][parents]
-            child = (rows < u[:, None]).sum(axis=1)
-            np.clip(child, 0, n - 1, out=child)
-            p = trans[d][parents, child]
-            bad = p <= 0
-            if bad.any():
-                raise ProcedureError(
-                    "sampled a zero-weight arc; matching has support gaps",
-                    count=int(bad.sum()),
-                )
-            imgs[:, pos[v]] = child
-            logp += np.log2(p)
-        out_images[done:done + k] = imgs
-        out_logp[done:done + k] = logp
-        srt = np.sort(imgs, axis=1)
-        out_sa[done:done + k] = np.all(srt[:, 1:] != srt[:, :-1], axis=1)
-        done += k
+    if start is None:
+        roots = rng.integers(0, g.n, size=samples)
+    else:
+        roots = np.full(samples, start)
+    images, log_probs = _draw(x, t, roots, rng)
+    srt = np.sort(images, axis=1)
     return RealisationBatch(
-        seed=seed, worker=worker, images=out_images,
-        log_probs=out_logp, self_avoiding=out_sa,
+        seed=seed, worker=worker, images=images, log_probs=log_probs,
+        self_avoiding=np.all(srt[:, 1:] != srt[:, :-1], axis=1),
     )
 
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -240,6 +241,19 @@ def test_mixing_complete_host():
     assert rep.hypothesis_ok
     assert rep.all_admissible_hold()
     assert any(row.admissible for row in rep.rows)
+
+
+def test_batch_memory_does_not_scale_with_host_times_samples():
+    # the output is 50,000 x 10 images (3.8 MiB); a k x n CDF block per
+    # tree edge would take 50,000 x 400 x 8 bytes (153 MiB)
+    x = uniform_matching(400)
+    tracemalloc.start()
+    try:
+        sample_trees_batch(x.host, x, path_tree(10), 50_000, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
 
 
 def test_batch_csv():
