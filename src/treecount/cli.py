@@ -26,7 +26,12 @@ from .errors import InputError, ProcedureError
 from .graphs import Digraph, Graph, double_orient, parse_graph_text
 from .matching import matching_entropy, max_entropy_matching, normality
 from .pipeline import run_pipeline, trace_to_json
-from .randtree import batch_to_csv, mixing_check, sample_trees_batch
+from .randtree import (
+    batch_to_csv,
+    mixing_check,
+    sample_trees_batch,
+    split_samples,
+)
 from .trees import (
     DOWN,
     automorphism_count,
@@ -106,11 +111,8 @@ def cmd_sample(args) -> int:
     g = _read_graph(args.graph)
     t = _read_tree(args.tree)
     x, _ = max_entropy_matching(g, tol=args.tol)
-    per = [args.samples // args.workers] * args.workers
-    for i in range(args.samples % args.workers):
-        per[i] += 1
     chunks = []
-    for w, k in enumerate(per):
+    for w, k in enumerate(split_samples(args.samples, args.workers)):
         if k == 0:
             continue
         batch = sample_trees_batch(
@@ -209,7 +211,12 @@ def build_parser() -> argparse.ArgumentParser:
     options = {
         "--seed": dict(type=int, default=0),
         "--samples": dict(type=int, default=10000),
-        "--workers": dict(type=int, default=1),
+        "--workers": dict(
+            type=int, default=1,
+            help="partitions of the random stream: worker w draws from the "
+                 "Philox key (seed, w); workers run one after another, "
+                 "not in parallel",
+        ),
         "--tol": dict(type=float, default=1e-10),
         "--eps": dict(type=float, default=0.0),
         "--format": dict(choices=("json", "csv"), default="json"),

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import InputError, ProcedureError
 from .graphs import Digraph, Graph, double_orient, epsilon_of, induced_subgraph
 from .matching import PerfectFractionalMatching, digraph_entropy, normality
-from .randtree import sample_trees_batch
+from .randtree import sample_trees_batch, split_samples
 from .trees import DOWN, RootedOrientedTree, _reroot, automorphism_count
 
 LOG2_E = math.log2(math.e)
@@ -164,13 +164,8 @@ def estimate_copies(
         raise InputError(
             "matching has zero-weight arcs; the estimator would be biased"
         )
-    if samples < 1 or workers < 1:
-        raise InputError("need samples >= 1 and workers >= 1")
-    per = [samples // workers] * workers
-    for i in range(samples % workers):
-        per[i] += 1
     weights = []
-    for w_idx, k in enumerate(per):
+    for w_idx, k in enumerate(split_samples(samples, workers)):
         if k == 0:
             continue
         batch = sample_trees_batch(g, x, t, k, seed, worker=w_idx, start=None)

@@ -198,6 +198,21 @@ def sample_trees_batch(
     )
 
 
+def split_samples(samples: int, workers: int) -> list[int]:
+    """Samples per worker; the first samples % workers workers take one more.
+
+    Workers partition the random stream, they do not run in parallel:
+    worker w draws its share from the Philox key (seed, w), one worker
+    after another.
+    """
+    if samples < 1 or workers < 1:
+        raise InputError("need samples >= 1 and workers >= 1")
+    per = [samples // workers] * workers
+    for i in range(samples % workers):
+        per[i] += 1
+    return per
+
+
 def walk_pattern(
     g: Digraph,
     x: PerfectFractionalMatching,

@@ -128,6 +128,17 @@ def test_sample_command_deterministic(tmp_path, k6_file, path5_file):
     assert header == "seed,worker,images,log_prob,self_avoiding"
 
 
+@pytest.mark.parametrize("counts", [
+    ["--workers", "0"], ["--samples", "0"], ["--workers", "-1"],
+])
+def test_sample_bad_counts_exit_2(tmp_path, k6_file, path5_file, counts, capsys):
+    out = tmp_path / "s.csv"
+    args = ["sample", k6_file, path5_file, *counts, "--out", str(out)]
+    assert main(args) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 def test_mixing_command(tmp_path, k6_file):
     out = str(tmp_path / "mixing.json")
     assert main(["mixing", k6_file, "--t-max", "40", "--out", out]) == 0
