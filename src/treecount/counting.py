@@ -341,7 +341,8 @@ def verify_bound_experiment(
         h = digraph_entropy(g)
     except ProcedureError as exc:
         h = 0.0
-        note = f"entropy solver failed ({exc}); bound evaluated at h = 0"
+        failed = f"entropy solver failed ({exc}); bound evaluated at h = 0"
+        note = f"{note}; {failed}" if note else failed
     aut = automorphism_count(t, rooted=False, respect_orientation=True)
     rep = count_copies_brute(g, t)
     count = rep.unlabelled

@@ -22,7 +22,12 @@ from treecount.counting import (
     verify_bound_experiment,
 )
 from treecount.errors import InputError, ProcedureError
-from treecount.graphs import complete_digraph, complete_graph, directed_cycle
+from treecount.graphs import (
+    Digraph,
+    complete_digraph,
+    complete_graph,
+    directed_cycle,
+)
 from treecount.matching import max_entropy_matching
 from treecount.trees import DOWN, RootedOrientedTree, path_tree
 
@@ -335,6 +340,18 @@ def test_verify_bound_non_spanning_tree():
     exp = verify_bound_experiment(complete_digraph(8), path_tree(4))
     assert exp.count == 1680 and not exp.holds
     assert exp.note == "tree is not spanning; bound is informational only"
+
+
+def test_verify_bound_keeps_notes_when_solver_fails():
+    # the scaling on this host does not converge within its iteration cap
+    g = Digraph(4, [(0, 1), (1, 0), (2, 0), (3, 2), (0, 3), (1, 3), (3, 1)])
+    exp = verify_bound_experiment(g, path_tree(2))
+    assert exp.h_bits == 0.0
+    assert exp.note.startswith(
+        "degree hypothesis unmet; bound is informational only; "
+        "tree is not spanning; bound is informational only; "
+        "entropy solver failed ("
+    )
 
 
 def test_hamilton_experiment_k6():
