@@ -26,12 +26,7 @@ from .errors import InputError, ProcedureError
 from .graphs import Digraph, Graph, double_orient, parse_graph_text
 from .matching import matching_entropy, max_entropy_matching, normality
 from .pipeline import run_pipeline, trace_to_json
-from .randtree import (
-    batch_to_csv,
-    mixing_check,
-    sample_trees_batch,
-    split_samples,
-)
+from .randtree import batch_to_csv, mixing_check, sample_trees_batch, split_samples
 from .trees import (
     DOWN,
     automorphism_count,
@@ -112,9 +107,7 @@ def cmd_sample(args) -> int:
     t = _read_tree(args.tree)
     x, _ = max_entropy_matching(g, tol=args.tol)
     chunks = []
-    for w, k in enumerate(split_samples(args.samples, args.workers)):
-        if k == 0:
-            continue
+    for w, k in split_samples(args.samples, args.workers).items():
         batch = sample_trees_batch(
             g, x, t, samples=k, seed=args.seed, worker=w, start=args.start
         )
@@ -211,12 +204,9 @@ def build_parser() -> argparse.ArgumentParser:
     options = {
         "--seed": dict(type=int, default=0),
         "--samples": dict(type=int, default=10000),
-        "--workers": dict(
-            type=int, default=1,
-            help="partitions of the random stream: worker w draws from the "
-                 "Philox key (seed, w); workers run one after another, "
-                 "not in parallel",
-        ),
+        "--workers": dict(type=int, default=1, help=(
+            "random-stream partitions, run one after another, not in "
+            "parallel: worker w draws from the Philox key (seed, w)")),
         "--tol": dict(type=float, default=1e-10),
         "--eps": dict(type=float, default=0.0),
         "--format": dict(choices=("json", "csv"), default="json"),

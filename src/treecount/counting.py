@@ -165,9 +165,7 @@ def estimate_copies(
             "matching has zero-weight arcs; the estimator would be biased"
         )
     weights = []
-    for w_idx, k in enumerate(split_samples(samples, workers)):
-        if k == 0:
-            continue
+    for w_idx, k in split_samples(samples, workers).items():
         batch = sample_trees_batch(g, x, t, k, seed, worker=w_idx, start=None)
         vals = np.where(
             batch.self_avoiding,

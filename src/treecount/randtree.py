@@ -5,6 +5,12 @@ image's matching weights, using outgoing weights when the tree edge points
 toward the child and incoming weights otherwise.  Siblings are independent
 given the parent image, so exact marginals and the exact entropy of the
 whole random embedding follow by forward propagation.
+
+One kernel, ``_draw``, makes every draw: ``sample_tree`` passes it one
+root and ``sample_trees_batch`` one root per sample.  It builds each
+direction's cumulative weights once per call and finds every child image
+by a binary search, so a batch needs memory for its output and one column
+of draws, not a samples x n block per tree edge.
 """
 
 from __future__ import annotations
@@ -186,10 +192,8 @@ def sample_trees_batch(
     if samples < 1:
         raise InputError("need at least one sample")
     rng = as_stream(seed, worker)
-    if start is None:
-        roots = rng.integers(0, g.n, size=samples)
-    else:
-        roots = np.full(samples, start)
+    roots = (np.full(samples, start) if start is not None
+             else rng.integers(0, g.n, size=samples))
     images, log_probs = _draw(x, t, roots, rng)
     srt = np.sort(images, axis=1)
     return RealisationBatch(
@@ -198,19 +202,18 @@ def sample_trees_batch(
     )
 
 
-def split_samples(samples: int, workers: int) -> list[int]:
-    """Samples per worker; the first samples % workers workers take one more.
+def split_samples(samples: int, workers: int) -> dict[int, int]:
+    """Sample counts by worker index, split as evenly as possible.
 
-    Workers partition the random stream, they do not run in parallel:
-    worker w draws its share from the Philox key (seed, w), one worker
-    after another.
+    The first samples % workers workers take one more sample, and workers
+    left without one are omitted.  Workers partition the random stream,
+    they do not run in parallel: worker w draws its share from the Philox
+    key (seed, w), one worker after another.
     """
     if samples < 1 or workers < 1:
         raise InputError("need samples >= 1 and workers >= 1")
-    per = [samples // workers] * workers
-    for i in range(samples % workers):
-        per[i] += 1
-    return per
+    base, extra = divmod(samples, workers)
+    return {w: base + (w < extra) for w in range(min(samples, workers))}
 
 
 def walk_pattern(
