@@ -29,6 +29,7 @@ from treecount.randtree import (
     sample_tree,
     sample_trees_batch,
     self_avoiding_reference_bound,
+    split_samples,
     walk_pattern,
 )
 from treecount.trees import DOWN, UP, RootedOrientedTree, path_tree, star_tree
@@ -254,6 +255,15 @@ def test_batch_memory_does_not_scale_with_host_times_samples():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2**20
+
+
+def test_split_samples():
+    assert split_samples(7, 3) == {0: 3, 1: 2, 2: 2}
+    assert split_samples(2, 3) == {0: 1, 1: 1}
+    assert split_samples(5, 1) == {0: 5}
+    for samples, workers in [(0, 1), (1, 0), (3, -1)]:
+        with pytest.raises(InputError):
+            split_samples(samples, workers)
 
 
 def test_batch_csv():
