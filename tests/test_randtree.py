@@ -9,7 +9,7 @@ import pytest
 from helpers import random_dense_digraph, random_tree
 from treecount.entropy import plugin_entropy
 from treecount.errors import InputError
-from treecount.graphs import complete_digraph, directed_cycle
+from treecount.graphs import Digraph, complete_digraph, directed_cycle
 from treecount.matching import (
     PerfectFractionalMatching,
     matching_entropy,
@@ -17,6 +17,7 @@ from treecount.matching import (
 )
 from treecount.randtree import (
     ExpectednessThresholds,
+    _draw,
     Realisation,
     batch_to_csv,
     exact_tree_entropy,
@@ -255,6 +256,71 @@ def test_batch_memory_does_not_scale_with_host_times_samples():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2**20
+
+
+def complex_key_draw(x, t, roots, rng):
+    """Reference draw: one binary search over the complex keys
+    ``row + 1j * cumsum(row)`` of the whole n x n matrix per tree edge."""
+    n = x.n
+    trans = {DOWN: x.weights, UP: x.weights.T}
+    pos = {v: i for i, v in enumerate(t.bfs_order)}
+    images = np.empty((len(roots), t.n), dtype=np.int64)
+    images[:, pos[t.root]] = roots
+    log_probs = np.zeros(len(roots))
+    for v in t.bfs_order[1:]:
+        d = t.edge_dir[v]
+        cdf = np.cumsum(trans[d], axis=1)
+        keys = (np.arange(n)[:, None] + 1j * cdf).ravel()
+        parents = images[:, pos[t.parent[v]]]
+        u = rng.random(len(roots)) * cdf[parents, -1]
+        child = np.searchsorted(keys, parents + 1j * u) - parents * n
+        images[:, pos[v]] = child
+        log_probs += np.log2(trans[d][parents, child])
+    return images, log_probs
+
+
+def sparse_random_matching(rng, n):
+    # rows and columns do not sum to 1, so the row totals matter
+    w = rng.random((n, n)) * (rng.random((n, n)) < 0.4)
+    np.fill_diagonal(w, 0.0)
+    w[np.arange(n), (np.arange(n) + 1) % n] += 0.05
+    g = Digraph(n, zip(*np.nonzero(w)))
+    return PerfectFractionalMatching(g, w, tol=math.inf)
+
+
+def permutation_average_matching(rng, n, m):
+    # weights are multiples of 1/m, so cumulative sums tie exactly
+    w = np.zeros((n, n))
+    for _ in range(m):
+        perm = rng.permutation(n)
+        shift = int(rng.integers(1, n))
+        w[perm, np.roll(perm, -shift)] += 1.0 / m
+    g = Digraph(n, zip(*np.nonzero(w)))
+    return PerfectFractionalMatching(g, w)
+
+
+@pytest.mark.parametrize("k", [1, 3, 5000])
+def test_draw_matches_complex_key_reference(k):
+    rng = np.random.default_rng([77, k])
+    matchings = [sparse_random_matching(rng, n) for n in (5, 40, 300)]
+    matchings += [
+        permutation_average_matching(rng, n, m)
+        for n, m in ((6, 2), (50, 3), (200, 4))
+    ]
+    matchings.append(
+        max_entropy_matching(random_dense_digraph(rng, 60, 35))[0]
+    )
+    for x in matchings:
+        t = random_tree(rng, min(x.n, 25), max_deg=4)
+        assert {t.edge_dir[v] for v in t.bfs_order[1:]} == {UP, DOWN}
+        roots = rng.integers(0, x.n, size=k)
+        seed = int(rng.integers(2**32))
+        images, log_probs = _draw(x, t, roots, np.random.default_rng(seed))
+        ref_images, ref_log_probs = complex_key_draw(
+            x, t, roots, np.random.default_rng(seed)
+        )
+        assert np.array_equal(images, ref_images)
+        assert np.array_equal(log_probs, ref_log_probs)
 
 
 def test_split_samples():
