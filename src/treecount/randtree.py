@@ -7,10 +7,13 @@ given the parent image, so exact marginals and the exact entropy of the
 whole random embedding follow by forward propagation.
 
 One kernel, ``_draw``, makes every draw: ``sample_tree`` passes it one
-root and ``sample_trees_batch`` one root per sample.  It builds each
-direction's cumulative weights once per call and finds every child image
-by a binary search, so a batch needs memory for its output and one column
-of draws, not a samples x n block per tree edge.
+root and ``sample_trees_batch`` one root per sample.  Per tree edge it
+sorts the samples by parent image and finds the children of each parent
+by one binary search over that parent's cumulative row.  A row is summed
+the first time a parent uses it and kept for the rest of the call, so a
+single draw reads about one row per tree edge, and a batch needs memory
+for its output, a few columns of draws and at most n rows per direction,
+not a samples x n block per tree edge.
 """
 
 from __future__ import annotations
@@ -93,21 +96,19 @@ def _draw(
     """Embed t once per root; return the images and base-2 log-probabilities.
 
     Images come out as an array of shape (len(roots), t.n) in BFS order.
-    Each tree edge draws one uniform per embedding.  A child's image is
+    Each tree edge draws one uniform u per embedding.  A child's image is
     the first cell of the parent image's row whose cumulative weight
-    reaches u times the row total, found by one binary search over the
-    complex keys ``row + 1j * cumsum(row)``: numpy orders complex numbers
-    by real part first, so the search stays inside the parent's row.
+    reaches u times the row total.  The samples of an edge are ordered by
+    parent image with one stable sort, so that each run of equal parents
+    is found by one binary search over that parent's cumulative row.
+    Those rows are summed only when first used and kept for the call.
     """
     trans = _transition_matrices(x)
-    n = x.n
-    keys, totals = {}, {}
-    for d in {t.edge_dir[v] for v in t.bfs_order if v != t.root}:
-        cdf = np.cumsum(trans[d], axis=1)
-        totals[d] = cdf[:, -1]
-        keys[d] = (np.arange(n)[:, None] + 1j * cdf).ravel()
+    cdfs: dict[tuple[str, int], np.ndarray] = {}
     pos = _bfs_index(t)
     k = len(roots)
+    # parents cast to the smallest integer type sort by radix, not by merge
+    small = np.min_scalar_type(x.n - 1)
     images = np.empty((k, t.n), dtype=np.int64)
     images[:, pos[t.root]] = roots
     log_probs = np.zeros(k)
@@ -115,18 +116,27 @@ def _draw(
         if v == t.root:
             continue
         d = t.edge_dir[v]
-        parents = images[:, pos[t.parent[v]]]
-        u = rng.random(k) * totals[d][parents]
-        child = np.searchsorted(keys[d], parents + 1j * u) - parents * n
-        p = trans[d][parents, child]
+        parents = images[:, pos[t.parent[v]]].astype(small)
+        order = np.argsort(parents, kind="stable")
+        grouped = parents[order]
+        u = rng.random(k)[order]
+        cuts = (np.flatnonzero(grouped[1:] != grouped[:-1]) + 1).tolist()
+        found = np.empty(k, dtype=np.int64)
+        for lo, hi in zip([0] + cuts, cuts + [k]):
+            r = int(grouped[lo])
+            cdf = cdfs.get((d, r))
+            if cdf is None:
+                cdf = cdfs[d, r] = np.cumsum(trans[d][r])
+            found[lo:hi] = np.searchsorted(cdf, u[lo:hi] * cdf[-1])
+        p = trans[d][grouped, found]
         bad = p <= 0
         if bad.any():
             raise ProcedureError(
                 "sampled a zero-weight arc; matching has support gaps",
                 count=int(bad.sum()),
             )
-        images[:, pos[v]] = child
-        log_probs += np.log2(p)
+        images[order, pos[v]] = found
+        log_probs[order] += np.log2(p)
     return images, log_probs
 
 

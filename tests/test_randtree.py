@@ -258,6 +258,20 @@ def test_batch_memory_does_not_scale_with_host_times_samples():
     assert peak < 64 * 2**20
 
 
+def test_single_draw_reads_only_the_rows_it_uses():
+    # one n x n float array for K_600 takes 2.7 MiB
+    x = uniform_matching(600)
+    # a first draw loads numpy's random modules (about 0.5 MiB)
+    sample_tree(x.host, x, path_tree(5), 7, seed=0)
+    tracemalloc.start()
+    try:
+        sample_tree(x.host, x, path_tree(5), 7, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 def complex_key_draw(x, t, roots, rng):
     """Reference draw: one binary search over the complex keys
     ``row + 1j * cumsum(row)`` of the whole n x n matrix per tree edge."""
