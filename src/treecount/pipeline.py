@@ -93,7 +93,8 @@ def run_pipeline(
 
     Every ProcedureError raised once the stages begin, a failed re-solve
     of a shrunken host included, carries the trace so far as ``trace`` in
-    its diagnostics.
+    its diagnostics.  A rebuilt host that the solver rejects as input
+    (a vertex left without arcs) also fails as a ProcedureError.
     """
     n = g.n
     if t.n > n:
@@ -173,6 +174,12 @@ def run_pipeline(
             except ProcedureError as exc:
                 raise ProcedureError(
                     str(exc), **exc.diagnostics, stage=idx, trace=partial_trace()
+                ) from exc
+            except InputError as exc:
+                # a rebuilt host can leave a vertex with no arcs; the
+                # caller's input was valid, so this is a failed stage
+                raise ProcedureError(
+                    str(exc), stage=idx, trace=partial_trace()
                 ) from exc
             method = "scaling"
         if idx == 0:

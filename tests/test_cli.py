@@ -207,6 +207,21 @@ def test_failure_prints_diagnostics(tmp_path, capsys):
     ]
 
 
+def test_pipeline_isolated_vertex_in_rebuilt_host_exit_1(tmp_path, capsys):
+    # embed pool id 51: a valid input whose rebuilt host loses every arc
+    # at one vertex is a failed run, not a malformed input
+    rng = np.random.default_rng([0xE3BED, 51])
+    host = random_dense_digraph(rng, 100, 60)
+    tree = random_tree(rng, 100, max_deg=4)
+    g, t = tmp_path / "g.txt", tmp_path / "t.txt"
+    g.write_text(write_graph_text(host))
+    t.write_text(write_tree_text(tree))
+    assert main(["pipeline", str(g), str(t), "--seed", "51"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == "failure: vertex 0 has no out- or in-neighbors"
+    assert json.loads(err[1][len("diagnostics: "):])["stage"] > 0
+
+
 def test_pipeline_resolve_failure_writes_partial_trace(tmp_path, capsys):
     # the rebalance gives up at some stage and the re-solve of the
     # shrunken host hits its iteration cap

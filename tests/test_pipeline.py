@@ -99,6 +99,21 @@ def test_resolve_failure_keeps_partial_trace():
     assert set(trace.mapping.values()) <= set(images)
 
 
+def test_resolve_of_host_with_isolated_vertex_is_procedure_error():
+    # embed pool id 51: the rebuilt host has a vertex with no neighbours
+    rng = np.random.default_rng([0xE3BED, 51])
+    g = random_dense_digraph(rng, 100, 60)
+    t = random_tree(rng, 100, max_deg=4)
+    with pytest.raises(ProcedureError) as info:
+        run_pipeline(g, t, seed=51)
+    assert str(info.value) == "vertex 0 has no out- or in-neighbors"
+    assert isinstance(info.value.__cause__, InputError)
+    diag = info.value.diagnostics
+    trace = diag["trace"]
+    assert not trace.success
+    assert len(trace.stages) == diag["stage"] > 0
+
+
 def test_direct_placement_of_deep_path():
     # threshold = n makes the split degenerate, so the whole path is
     # placed by one backtracking search over 1100 levels
