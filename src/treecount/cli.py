@@ -67,7 +67,7 @@ def cmd_entropy(args) -> int:
         "h_bits": matching_entropy(x),
         "b_min": rep.b_min,
         "sum_residual": cert.sum_residual,
-        "product_residual": cert.product_residual,
+        "dual_gap": cert.dual_gap,
         "iterations": cert.iterations,
     })
     _emit(args, payload, "entropy.json")

@@ -153,10 +153,20 @@ def test_solver_symmetric_hosts():
     x, cert = max_entropy_matching(complete_digraph(6))
     assert matching_entropy(x) == pytest.approx(6 * math.log2(5), abs=1e-6)
     assert cert.sum_residual <= 1e-9
-    assert cert.product_residual <= 1e-8
+    assert abs(cert.dual_gap) <= 1e-8
     c = directed_cycle(5)
     xc, _ = max_entropy_matching(c)
     assert matching_entropy(xc) == pytest.approx(0.0, abs=1e-9)
+
+
+def test_dual_gap_flags_factors_stopped_early():
+    # two scaling rounds leave row sums 9e-4 from 1; the gap sees it
+    g = random_dense_digraph(np.random.default_rng(3), 30, 17)
+    _, early = max_entropy_matching(g, tol=1e-2)
+    _, done = max_entropy_matching(g)
+    assert early.iterations == 2
+    assert abs(early.dual_gap) > 1e-5
+    assert abs(done.dual_gap) <= 1e-8
 
 
 def test_solver_regular_host_uniform():
