@@ -14,6 +14,7 @@ from pathlib import Path
 
 from .counting import (
     BoundInputs,
+    bound_entropy,
     bound_note,
     count_copies_brute,
     count_report_to_dict,
@@ -77,14 +78,16 @@ def cmd_entropy(args) -> int:
 def cmd_count(args) -> int:
     g = _read_graph(args.graph)
     t = _read_tree(args.tree)
-    x, _ = max_entropy_matching(g, tol=args.tol)
     if args.mode == "brute":
+        h, note = bound_entropy(g, t, tol=args.tol)
         rep = count_copies_brute(g, t)
     else:
+        # the estimator samples from the matching, so it needs the solve
+        x, _ = max_entropy_matching(g, tol=args.tol)
         rep = estimate_copies(
             g, x, t, samples=args.samples, seed=args.seed, workers=args.workers
         )
-    h = matching_entropy(x)
+        h, note = matching_entropy(x), bound_note(g, t)
     aut = automorphism_count(t, rooted=False, respect_orientation=True)
     bound = directed_lower_bound(
         BoundInputs(n=g.n, h=h, eps=args.eps, aut=aut)
@@ -96,7 +99,7 @@ def cmd_count(args) -> int:
         "bound_log2": bound.log2,
         "bound_value": bound.value,
         "holds": (rep.unlabelled or 0) >= bound.value,
-        "note": bound_note(g, t),
+        "note": note,
     })
     _emit(args, payload, "count.json")
     return 0

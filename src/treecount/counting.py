@@ -1,9 +1,14 @@
-"""Copy counting: exact backtracking, unbiased estimation, lower bounds.
+"""Copy counting: exact counts, unbiased estimation, lower bounds.
 
 A copy of a rooted oriented tree in a digraph is an injective vertex map
 sending every tree edge to a host arc in the orientation the edge demands.
 Counts are labelled (maps) or unlabelled (labelled divided by the number
 of orientation-respecting automorphisms of the tree).
+
+Exact counts in hosts of at most 16 vertices come from inclusion–exclusion
+over host vertex subsets (``_count_by_subsets``); larger hosts are counted
+by the BFS-order backtracking search (``_embeddings``), which also serves
+placement and existence checks.
 """
 
 from __future__ import annotations
@@ -17,9 +22,16 @@ from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
+from . import matching
 from .errors import InputError, ProcedureError
 from .graphs import Digraph, Graph, double_orient, epsilon_of, induced_subgraph
-from .matching import PerfectFractionalMatching, digraph_entropy, normality
+from .matching import (
+    SOLVER_TOL,
+    PerfectFractionalMatching,
+    digraph_entropy,
+    matching_entropy,
+    normality,
+)
 from .randtree import sample_trees_batch, split_samples
 from .trees import DOWN, RootedOrientedTree, _reroot, automorphism_count
 
@@ -116,21 +128,109 @@ def _budget_exceeded(visits: int) -> ProcedureError:
     )
 
 
+# Largest host order n with n * (n - 1)**(n - 1) < 2**63: no homomorphism
+# count of an n-vertex tree into an n-vertex host overflows int64.
+_SUBSET_MAX_N = 16
+
+
+def _count_by_subsets(
+    g: Digraph, t: RootedOrientedTree, roots: Iterable[int]
+) -> tuple[int, int]:
+    """(copies of t in g rooted in ``roots``, visits of ``_embeddings``).
+
+    For the BFS prefix T_m of t (its first m vertices in ``t.bfs_order``)
+    and every host subset S with |S| <= m, a bottom-up tree DP counts the
+    homomorphisms of T_m into g[S] with the root image in ``roots``.  Its
+    arrays have one row per subset and one column per host vertex, and a
+    child's column vector reaches its parent through the adjacency matrix,
+    in the direction of their tree edge.  Inclusion–exclusion over S
+    (Karp 1982) then gives the injective ones:
+
+        inj_m = sum_S (-1)^(m-|S|) C(n-|S|, m-|S|) hom(T_m, g[S]).
+
+    The search visits each injective copy of each prefix T_2..T_k once, so
+    its visit total is inj_2 + ... + inj_k.  Needs g.n <= _SUBSET_MAX_N.
+    """
+    n, k = g.n, t.n
+    roots = list(roots)
+    if k == 1:
+        return len(roots), 0
+    # rows: the subsets of V(g) by size, then by bitmask; the subsets of
+    # size s are rows ends[s-1]..ends[s]-1
+    masks = np.arange(1 << n, dtype=np.int64)
+    member = (masks[:, None] >> np.arange(n)) & 1
+    member = member[np.argsort(member.sum(axis=1), kind="stable")]
+    ends = list(itertools.accumulate(math.comb(n, s) for s in range(n + 1)))
+    adj = np.zeros((n, n), dtype=np.int64)
+    for u, v in g.edges:
+        adj[u, v] = 1
+    in_roots = np.zeros(n, dtype=np.int64)
+    in_roots[roots] = 1
+    order = t.bfs_order
+    pos = {v: i for i, v in enumerate(order)}
+    # for BFS position i >= 1: its parent's position, and the matrix that
+    # takes its column vector to its parent's (A.T for DOWN, A for UP)
+    steps = [None] + [
+        (pos[t.parent[v]], adj.T if t.edge_dir[v] == DOWN else adj)
+        for v in order[1:]
+    ]
+    labelled = visits = 0
+    for m in range(2, k + 1):
+        rows = member[:ends[m]]
+        acc: list = [None] * m  # acc[i]: membership times i's children so far
+        for i in range(m - 1, 0, -1):
+            p, step = steps[i]
+            f = (rows if acc[i] is None else acc[i]) @ step
+            acc[i] = None
+            if acc[p] is None:
+                f *= rows
+                acc[p] = f
+            else:
+                acc[p] *= f
+        hom = acc[0] @ in_roots
+        # exact sums per subset size: each half sums below 2**48
+        starts = [0] + ends[:m]
+        lo = np.add.reduceat(hom & 0xFFFFFFFF, starts).tolist()
+        hi = np.add.reduceat(hom >> 32, starts).tolist()
+        inj = sum(
+            (-1) ** (m - s) * math.comb(n - s, m - s) * ((hi[s] << 32) + lo[s])
+            for s in range(m + 1)
+        )
+        visits += inj
+        labelled = inj
+    return labelled, visits
+
+
 def count_copies_brute(
     g: Digraph,
     t: RootedOrientedTree,
     root_image: Optional[int] = None,
     budget: int = _DEFAULT_BUDGET,
 ) -> CountReport:
-    """Exact labelled count of copies of t in g by BFS-order backtracking."""
+    """Exact labelled count of copies of t in g.
+
+    Hosts of at most 16 vertices are counted by ``_count_by_subsets``:
+    inclusion–exclusion over the host's vertex subsets, with one tree DP
+    per subset and BFS prefix of t.  At 16 vertices every homomorphism
+    count is at most 16 * 15**15 < 2**63, so its int64 arithmetic is
+    exact; at 17 it no longer is, and larger hosts are counted by the
+    backtracking search ``_embeddings``.  Either way ``budget`` bounds the
+    search's visits: the DP computes the visit total the search would
+    make and raises the search's error when it exceeds ``budget``.
+    """
     if t.n > g.n:
         raise InputError(f"tree size {t.n} exceeds host size {g.n}")
     if root_image is not None and not (0 <= root_image < g.n):
         raise InputError(f"root image {root_image} out of range")
     roots = [root_image] if root_image is not None else range(g.n)
-    labelled = 0
-    for _ in _embeddings(g, t, roots, budget):
-        labelled += 1
+    if g.n <= _SUBSET_MAX_N:
+        labelled, visits = _count_by_subsets(g, t, roots)
+        if budget is not None and visits > budget:
+            raise _budget_exceeded(budget + 1)
+    else:
+        labelled = 0
+        for _ in _embeddings(g, t, roots, budget):
+            labelled += 1
     if root_image is None:
         aut = automorphism_count(t, rooted=False, respect_orientation=True)
         if labelled % aut != 0:
@@ -316,6 +416,24 @@ def bound_note(g: Digraph, t: RootedOrientedTree) -> str:
     return "; ".join(notes)
 
 
+def bound_entropy(
+    g: Digraph, t: RootedOrientedTree, tol: float = SOLVER_TOL
+) -> tuple[float, str]:
+    """h(G) for the bound on copies of t in g, and the bound's note.
+
+    An exact count needs no matching, so a solver failure does not stop
+    it: the bound is then evaluated at h = 0, and the note says why.
+    """
+    note = bound_note(g, t)
+    try:
+        # through the module, so that a wrapper installed there sees the solve
+        x, _ = matching.max_entropy_matching(g, tol=tol)
+    except ProcedureError as exc:
+        failed = f"entropy solver failed ({exc}); bound evaluated at h = 0"
+        return 0.0, f"{note}; {failed}" if note else failed
+    return matching_entropy(x), note
+
+
 @dataclass(frozen=True)
 class BoundExperiment:
     n: int
@@ -334,13 +452,7 @@ def verify_bound_experiment(
     g: Digraph, t: RootedOrientedTree, eps: float = 0.0
 ) -> BoundExperiment:
     """Compare the exact unlabelled copy count with the entropy bound."""
-    note = bound_note(g, t)
-    try:
-        h = digraph_entropy(g)
-    except ProcedureError as exc:
-        h = 0.0
-        failed = f"entropy solver failed ({exc}); bound evaluated at h = 0"
-        note = f"{note}; {failed}" if note else failed
+    h, note = bound_entropy(g, t)
     aut = automorphism_count(t, rooted=False, respect_orientation=True)
     rep = count_copies_brute(g, t)
     count = rep.unlabelled

@@ -9,7 +9,7 @@ import pytest
 from helpers import random_dense_digraph, random_tree
 from treecount import cli
 from treecount.cli import main
-from treecount.graphs import complete_digraph, directed_cycle, write_graph_text
+from treecount.graphs import Digraph, complete_digraph, directed_cycle, write_graph_text
 from treecount.trees import path_tree, write_tree_text
 
 
@@ -67,6 +67,28 @@ def test_count_notes_non_spanning_tree(tmp_path):
     payload = json.loads(open(out).read())
     assert payload["count"]["unlabelled"] == 1680 and not payload["holds"]
     assert payload["note"] == "tree is not spanning; bound is informational only"
+
+
+def test_count_brute_survives_solver_failure(tmp_path):
+    # the scaling on this host does not converge within its iteration cap;
+    # an exact count needs no matching, so count agrees with verify
+    g, t = tmp_path / "g.txt", tmp_path / "p2.txt"
+    g.write_text(write_graph_text(
+        Digraph(4, [(0, 1), (1, 0), (2, 0), (3, 2), (0, 3), (1, 3), (3, 1)])
+    ))
+    t.write_text(write_tree_text(path_tree(2)))
+    count_out, verify_out = tmp_path / "count.json", tmp_path / "verify.json"
+    assert main(["count", str(g), str(t), "--out", str(count_out)]) == 0
+    assert main(["verify", str(g), str(t), "--out", str(verify_out)]) == 0
+    count, verify = json.loads(count_out.read_text()), json.loads(verify_out.read_text())
+    assert "entropy solver failed" in count["note"]
+    assert count["note"] == verify["note"]
+    assert count["h_bits"] == verify["h_bits"] == 0.0
+    assert count["count"]["unlabelled"] == verify["count"] == 7
+    assert count["holds"] and verify["holds"]
+    # the estimator samples from the matching, so it still fails
+    assert main(["count", str(g), str(t), "--mode", "estimate",
+                 "--out", str(tmp_path / "est.json")]) == 1
 
 
 def test_count_estimate_solves_once(tmp_path, path5_file, monkeypatch):

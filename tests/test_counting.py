@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 
 from helpers import random_dense_digraph, random_tree
+from treecount import counting
 from treecount.counting import (
     AbsorbingPair,
     BoundInputs,
+    _count_by_subsets,
     _embeddings,
     absorbing_pair_search,
     count_copies_brute,
@@ -184,6 +186,62 @@ def test_budget_overrun_matches_reference():
         assert str(got.value) == str(want.value)
         assert got.value.diagnostics == want.value.diagnostics
         assert got.value.diagnostics == {"visits": budget + 1}
+
+
+def _spanning_cases():
+    """Spanning trees in 10- and 11-vertex hosts, drawn as the benchmark's
+    exact workload draws them."""
+    rng = np.random.default_rng(45)
+    return [
+        (g, random_tree(rng, n, max_deg=4), 0)
+        for n, min_deg in ((10, 6), (11, 7))
+        for g in [random_dense_digraph(rng, n, min_deg, keep_prob=1.0)]
+    ]
+
+
+def test_subset_count_matches_search():
+    # the subset DP's count is the search's, and its visit total is the
+    # search's exactly: the budget cut-off falls at the same place
+    for g, t, root in _search_cases() + _spanning_cases():
+        for root_image in (None, root):
+            roots = range(g.n) if root_image is None else [root_image]
+            labelled, visits = _count_by_subsets(g, t, roots)
+            rep = count_copies_brute(g, t, root_image=root_image)
+            assert type(rep.labelled) is int and type(visits) is int
+            found = sum(1 for _ in _embeddings(g, t, roots, budget=visits))
+            assert rep.labelled == labelled == found
+            if visits:
+                with pytest.raises(ProcedureError) as exc:
+                    for _ in _embeddings(g, t, roots, budget=visits - 1):
+                        pass
+                assert exc.value.diagnostics == {"visits": visits}
+
+
+def test_subset_count_boundary(monkeypatch):
+    # hosts of up to 16 vertices are counted by the subset DP, larger ones
+    # by the search
+    calls = []
+    dp = counting._count_by_subsets
+    monkeypatch.setattr(
+        counting, "_count_by_subsets", lambda *a: calls.append(a) or dp(*a)
+    )
+    for n in (16, 17):
+        arcs = [(i, (i + 1) % n) for i in range(n)]
+        arcs += [(0, n // 2), (n // 3, 1), (n - 2, n // 4), (5, 9)]
+        g, t = Digraph(n, arcs), path_tree(n)
+        assert count_copies_brute(g, t).labelled == _reference_count(g, t)
+        assert len(calls) == 1
+    assert calls[0][0].n == 16
+
+
+def test_subset_count_complete_hosts():
+    # in K_n every injective sequence is a copy of the directed path; at
+    # n = 11 a subset's homomorphism count passes 2**32, and at n = 16 it
+    # reaches 16 * 15**15, within a factor 1.4 of 2**63
+    for n in (11, 16):
+        labelled, visits = _count_by_subsets(complete_digraph(n), path_tree(n), range(n))
+        assert labelled == math.factorial(n)
+        assert visits == sum(math.perm(n, m) for m in range(2, n + 1))
 
 
 def test_deep_path_count():
