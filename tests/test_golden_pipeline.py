@@ -10,6 +10,7 @@ reproduce them bit for bit.  The pipeline digests are SHA-256 of
 from __future__ import annotations
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -63,6 +64,32 @@ def test_pipeline_trace_digest(n, host_seed, seed, resolved, digest):
     methods = [s.matching_method for s in trace.stages[1:]]
     assert methods.count("scaling") == resolved
     assert _sha(trace_to_json(trace).encode()) == digest
+
+
+# SHA-256 of the mapping and each stage's non-float fields (and epsilon,
+# which is exact): which vertices every stage chose, free of the last bits
+# of the matching weights
+IMAGE_DIGESTS = {
+    (40, 0, 0): "042637eda57486b5eddbf7ff980c5ce67f21786034700ac771701515867fbb28",
+    (40, 1, 1): "680166ba3d3b7c1c1f7b5b6db04a6c8117e1b0ad67888ef1ddfc8acee0dc7f9a",
+    (60, 0, 0): "f240d478541c42616a25c9f735cb722bfddbb3cdc4c0df19505215c2059e3944",
+    (60, 2, 1): "36381eb87224908f082c076116b78c074a8d1dd67d6e400bc0a4f1adf60d947b",
+    (100, 0, 0): "0c04c7a970ae53c79022cd6c8e56acd21e27d642f852a40f19ba76f5c48cb906",
+    (100, 0, 1): "10e8f5246be2648f6771b485410bdd50c1b77bebbfb4732a4200282ee1f48b3f",
+}
+
+
+@pytest.mark.parametrize("n,host_seed,seed", sorted(IMAGE_DIGESTS))
+def test_pipeline_image_digest(n, host_seed, seed):
+    g, t = _spanning_case(n, host_seed)
+    trace = run_pipeline(g, t, seed=seed)
+    payload = [sorted(trace.mapping.items()), [
+        (s.index, s.piece_size, s.host_size, s.matching_method, s.retries,
+         s.root_image, list(s.images), s.epsilon)
+        for s in trace.stages
+    ]]
+    digest = _sha(json.dumps(payload).encode())
+    assert digest == IMAGE_DIGESTS[n, host_seed, seed]
 
 
 def test_fixed_failing_case_message():
