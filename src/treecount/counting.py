@@ -6,8 +6,9 @@ Counts are labelled (maps) or unlabelled (labelled divided by the number
 of orientation-respecting automorphisms of the tree).
 
 Exact counts in hosts of at most 16 vertices come from inclusion–exclusion
-over host vertex subsets (``_count_by_subsets``); larger hosts are counted
-by the BFS-order backtracking search (``_embeddings``), which also serves
+over host vertex subsets (``_count_by_subsets``), unless a walk-count bound
+shows that the search is shorter; larger hosts, and those, are counted by
+the BFS-order backtracking search (``_embeddings``), which also serves
 placement and existence checks.
 """
 
@@ -133,6 +134,67 @@ def _budget_exceeded(visits: int) -> ProcedureError:
 _SUBSET_MAX_N = 16
 
 
+def _prefix_steps(g: Digraph, t: RootedOrientedTree) -> list:
+    """For BFS position i >= 1 of t: its parent's position, and the int64
+    matrix that takes its host-vertex vector to its parent's (A.T for a
+    DOWN edge, A for UP), so that ``f @ step`` sums f over the arcs the
+    edge may use.  Position 0 has no entry (None)."""
+    adj = matching._support_mask(g).astype(np.int64)
+    order = t.bfs_order
+    pos = {v: i for i, v in enumerate(order)}
+    return [None] + [
+        (pos[t.parent[v]], adj.T if t.edge_dir[v] == DOWN else adj)
+        for v in order[1:]
+    ]
+
+
+def _prefix_homs(rows: np.ndarray, steps: list, m: int) -> np.ndarray:
+    """Homomorphisms of the BFS prefix T_m into g[S], per root image.
+
+    ``rows`` holds one 0/1 membership row per host subset S (a single
+    all-ones row for S = V(g)), and ``steps`` is ``_prefix_steps(g, t)``.
+    The tree DP runs bottom-up: each vertex's array is its membership
+    times the product of its children's arrays moved through their steps.
+    """
+    acc: list = [None] * m  # acc[i]: membership times i's children so far
+    for i in range(m - 1, 0, -1):
+        p, step = steps[i]
+        f = (rows if acc[i] is None else acc[i]) @ step
+        acc[i] = None
+        if acc[p] is None:
+            f *= rows
+            acc[p] = f
+        else:
+            acc[p] *= f
+    return acc[0]
+
+
+def _search_is_short(g: Digraph, t: RootedOrientedTree, roots: list[int]) -> bool:
+    """Whether ``_embeddings`` provably makes at most 2**g.n visits.
+
+    Each visit places the last vertex of an injective copy of a BFS prefix
+    T_m (m >= 2) of t, so the visit total is at most the prefixes'
+    homomorphism counts, sum_m sum_{r in roots} hom(T_m, g, r): one
+    walk-count DP per prefix.  The sum stops as soon as it passes 2**g.n,
+    the row count of ``_count_by_subsets``.  On sparse hosts the search is
+    then the cheaper count, while dense hosts pass the cap within a few
+    prefixes.  Needs g.n <= _SUBSET_MAX_N, so that no count overflows
+    int64.
+    """
+    n = g.n
+    cap = 1 << n
+    ones = np.ones(n, dtype=np.int64)
+    in_roots = np.zeros(n, dtype=np.int64)
+    in_roots[roots] = 1
+    steps = _prefix_steps(g, t)
+    bound = 0
+    for m in range(2, t.n + 1):
+        bound += int(_prefix_homs(ones, steps, m) @ in_roots)
+        if bound > cap:
+            return False
+    return True
+
+
 def _count_by_subsets(
     g: Digraph, t: RootedOrientedTree, roots: Iterable[int]
 ) -> tuple[int, int]:
@@ -161,33 +223,12 @@ def _count_by_subsets(
     member = (masks[:, None] >> np.arange(n)) & 1
     member = member[np.argsort(member.sum(axis=1), kind="stable")]
     ends = list(itertools.accumulate(math.comb(n, s) for s in range(n + 1)))
-    adj = np.zeros((n, n), dtype=np.int64)
-    for u, v in g.edges:
-        adj[u, v] = 1
     in_roots = np.zeros(n, dtype=np.int64)
     in_roots[roots] = 1
-    order = t.bfs_order
-    pos = {v: i for i, v in enumerate(order)}
-    # for BFS position i >= 1: its parent's position, and the matrix that
-    # takes its column vector to its parent's (A.T for DOWN, A for UP)
-    steps = [None] + [
-        (pos[t.parent[v]], adj.T if t.edge_dir[v] == DOWN else adj)
-        for v in order[1:]
-    ]
+    steps = _prefix_steps(g, t)
     labelled = visits = 0
     for m in range(2, k + 1):
-        rows = member[:ends[m]]
-        acc: list = [None] * m  # acc[i]: membership times i's children so far
-        for i in range(m - 1, 0, -1):
-            p, step = steps[i]
-            f = (rows if acc[i] is None else acc[i]) @ step
-            acc[i] = None
-            if acc[p] is None:
-                f *= rows
-                acc[p] = f
-            else:
-                acc[p] *= f
-        hom = acc[0] @ in_roots
+        hom = _prefix_homs(member[:ends[m]], steps, m) @ in_roots
         # exact sums per subset size: each half sums below 2**48
         starts = [0] + ends[:m]
         lo = np.add.reduceat(hom & 0xFFFFFFFF, starts).tolist()
@@ -214,7 +255,9 @@ def count_copies_brute(
     per subset and BFS prefix of t.  At 16 vertices every homomorphism
     count is at most 16 * 15**15 < 2**63, so its int64 arithmetic is
     exact; at 17 it no longer is, and larger hosts are counted by the
-    backtracking search ``_embeddings``.  Either way ``budget`` bounds the
+    backtracking search ``_embeddings``.  So are small hosts on which
+    ``_search_is_short`` proves that the search makes at most 2**n
+    visits, no more than the DP has rows.  Either way ``budget`` bounds the
     search's visits: the DP computes the visit total the search would
     make and raises the search's error when it exceeds ``budget``.
     """
@@ -222,8 +265,8 @@ def count_copies_brute(
         raise InputError(f"tree size {t.n} exceeds host size {g.n}")
     if root_image is not None and not (0 <= root_image < g.n):
         raise InputError(f"root image {root_image} out of range")
-    roots = [root_image] if root_image is not None else range(g.n)
-    if g.n <= _SUBSET_MAX_N:
+    roots = [root_image] if root_image is not None else list(range(g.n))
+    if g.n <= _SUBSET_MAX_N and not _search_is_short(g, t, roots):
         labelled, visits = _count_by_subsets(g, t, roots)
         if budget is not None and visits > budget:
             raise _budget_exceeded(budget + 1)

@@ -11,13 +11,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .errors import InputError, ParseError
 
 
 class Digraph:
     """A simple digraph: ordered pairs (u, v) with u != v, no parallel arcs."""
 
-    __slots__ = ("n", "edges", "out_adj", "in_adj")
+    __slots__ = ("n", "edges", "out_adj", "in_adj", "_mask")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 0:
@@ -38,6 +40,38 @@ class Digraph:
         self.edges = frozenset(edge_set)
         self.out_adj = tuple(tuple(sorted(a)) for a in out_lists)
         self.in_adj = tuple(tuple(sorted(a)) for a in in_lists)
+        self._mask = None  # support mask, filled by matching._support_mask
+
+    @classmethod
+    def _from_mask(cls, mask: np.ndarray) -> "Digraph":
+        """The digraph whose arcs are the True cells of a square bool matrix.
+
+        Trusted: nothing is checked, so the caller guarantees a square bool
+        array with a False diagonal.  Its one caller is
+        ``matching.rebalance_after_removal``, whose mask is a block of an
+        existing host's support plus the attach row and column.  The
+        digraph takes the array over as its cached support mask and makes
+        it read-only.  ``np.nonzero`` lists cells row-major, so the
+        neighbour lists come out sorted, as ``__init__`` makes them.
+        """
+        n = mask.shape[0]
+        rows, cols = np.nonzero(mask)
+        out_adj = cols.tolist()
+        in_adj = np.nonzero(mask.T)[1].tolist()
+        out_ends = np.cumsum(mask.sum(axis=1)).tolist()
+        in_ends = np.cumsum(mask.sum(axis=0)).tolist()
+        mask.setflags(write=False)
+        self = cls.__new__(cls)
+        self.n = n
+        self.edges = frozenset(zip(rows.tolist(), out_adj))
+        self.out_adj = tuple(
+            tuple(out_adj[a:b]) for a, b in zip([0] + out_ends, out_ends)
+        )
+        self.in_adj = tuple(
+            tuple(in_adj[a:b]) for a, b in zip([0] + in_ends, in_ends)
+        )
+        self._mask = mask
+        return self
 
     def deg_out(self, v: int) -> int:
         return len(self.out_adj[v])

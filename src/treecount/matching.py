@@ -28,9 +28,17 @@ SHIFT_ENTROPY_TOL = 1e-12
 
 
 def _support_mask(g: Digraph) -> np.ndarray:
-    mask = np.zeros((g.n, g.n), dtype=bool)
-    for u, outs in enumerate(g.out_adj):
-        mask[u, list(outs)] = True
+    """g's boolean adjacency matrix, built once per host and cached on it.
+
+    The array is read-only; callers that need to change it copy it first.
+    """
+    mask = g._mask
+    if mask is None:
+        mask = np.zeros((g.n, g.n), dtype=bool)
+        for u, outs in enumerate(g.out_adj):
+            mask[u, list(outs)] = True
+        mask.setflags(write=False)
+        g._mask = mask
     return mask
 
 
@@ -517,24 +525,33 @@ def _redistribute_rows(
     once, since every column touches only its own two cells; the running
     sums ``s`` and ``moved`` then take the deltas one by one, left to
     right, so they round exactly as a per-column loop would.
+
+    A row within ``tol / 4`` of unit sum neither takes nor gives.  That
+    floor picks the takers and donors at the start of each pass; applied
+    inside the pass too, it ends a row's trading once earlier pairs bring
+    it that close, where it would otherwise trade rounding residues of
+    1e-16 to 1e-15 at the cost of a full pair each.  Rows still off by
+    more than the floor keep trading, and the final check is against
+    ``tol``, four times the floor.
     """
     rows, mask_rows = list(w), list(mask)   # row views, also of a transpose
+    floor = tol / 4
     passes = 0
     while passes < max_passes:
         s = w.sum(axis=1)
         if np.abs(s - 1.0).max() <= tol:
             return passes
-        takers = np.flatnonzero(s < 1.0 - tol / 4).tolist()
-        donors = np.flatnonzero(s > 1.0 + tol / 4).tolist()
+        takers = np.flatnonzero(s < 1.0 - floor).tolist()
+        donors = np.flatnonzero(s > 1.0 + floor).tolist()
         s = s.tolist()
         moved = 0.0
         for t in takers:
             need = 1.0 - s[t]
             for d in donors:
-                if need <= 0:
+                if need <= floor:
                     break
                 avail = s[d] - 1.0
-                if avail <= 0:
+                if avail <= floor:
                     continue
                 w_d = rows[d]
                 common = (mask_rows[d] & mask_rows[t] & (w_d > 0)).nonzero()[0]
@@ -602,12 +619,11 @@ def rebalance_after_removal(
     kept = len(keep)
     n_new = kept + (1 if attach else 0)
     block = np.ix_(keep, keep)
-    kept_mask = _support_mask(g)[block]
-    rows, cols = np.nonzero(kept_mask)
-    arcs = list(zip(rows.tolist(), cols.tolist()))
+    mask = np.zeros((n_new, n_new), dtype=bool)
+    mask[:kept, :kept] = _support_mask(g)[block]
     u_id = None
     w = np.zeros((n_new, n_new))
-    w[:kept, :kept] = np.where(kept_mask, x.weights[block], 0.0)
+    w[:kept, :kept] = np.where(mask[:kept, :kept], x.weights[block], 0.0)
     if attach:
         outs = sorted({relabel[v] for v in attach_out})
         ins = sorted({relabel[v] for v in attach_in})
@@ -616,24 +632,21 @@ def rebalance_after_removal(
         if not outs or not ins:
             raise InputError("attachment neighborhoods must be nonempty")
         u_id = n_new - 1
-        for v in outs:
-            arcs.append((u_id, v))
-            w[u_id, v] = 1.0 / len(outs)
-        for v in ins:
-            arcs.append((v, u_id))
-            w[v, u_id] = 1.0 / len(ins)
-    host = Digraph(n_new, arcs)
-    for v in range(n_new):
-        if host.deg_out(v) == 0 or host.deg_in(v) == 0:
-            raise ProcedureError(
-                "semidegree collapse: a vertex lost all out- or in-neighbors",
-                vertex=v,
-            )
+        mask[u_id, outs] = True
+        mask[ins, u_id] = True
+        w[u_id, outs] = 1.0 / len(outs)
+        w[ins, u_id] = 1.0 / len(ins)
+    lost = np.flatnonzero(~mask.any(axis=1) | ~mask.any(axis=0))
+    if lost.size:
+        raise ProcedureError(
+            "semidegree collapse: a vertex lost all out- or in-neighbors",
+            vertex=int(lost[0]),
+        )
+    host = Digraph._from_mask(mask)
     total = float(w.sum())
     if total <= 0:
         raise ProcedureError("no surviving weight to rescale", total=total)
     w *= n_new / total
-    mask = _support_mask(host)
     p1 = _redistribute_rows(w, mask, tol, max_passes)
     p2 = _redistribute_rows(w.T, mask.T, tol, max_passes)
     out = PFM(host, w, tol=2 * tol)

@@ -210,6 +210,10 @@ def test_subset_count_matches_search():
             assert type(rep.labelled) is int and type(visits) is int
             found = sum(1 for _ in _embeddings(g, t, roots, budget=visits))
             assert rep.labelled == labelled == found
+            # the walk-count bound that routes small hosts to the search
+            # never undercounts the search's visits
+            if counting._search_is_short(g, t, list(roots)):
+                assert visits <= 2 ** g.n
             if visits:
                 with pytest.raises(ProcedureError) as exc:
                     for _ in _embeddings(g, t, roots, budget=visits - 1):
@@ -218,20 +222,30 @@ def test_subset_count_matches_search():
 
 
 def test_subset_count_boundary(monkeypatch):
-    # hosts of up to 16 vertices are counted by the subset DP, larger ones
-    # by the search
+    # hosts of up to 16 vertices are counted by the subset DP unless the
+    # search provably visits at most 2**n vertices; larger hosts always by
+    # the search
     calls = []
     dp = counting._count_by_subsets
     monkeypatch.setattr(
         counting, "_count_by_subsets", lambda *a: calls.append(a) or dp(*a)
     )
+    # a cycle plus four chords: the walk-count bound is 1486 <= 2**16, so
+    # even at 16 vertices the search counts it
     for n in (16, 17):
         arcs = [(i, (i + 1) % n) for i in range(n)]
         arcs += [(0, n // 2), (n // 3, 1), (n - 2, n // 4), (5, 9)]
         g, t = Digraph(n, arcs), path_tree(n)
         assert count_copies_brute(g, t).labelled == _reference_count(g, t)
-        assert len(calls) == 1
-    assert calls[0][0].n == 16
+    assert calls == []
+    # a host thinned as far as semidegree 7 allows, as in verify's exact
+    # counts, passes 2**11 within a few prefixes and goes to the DP
+    rng = np.random.default_rng(5)
+    g = random_dense_digraph(rng, 11, 7, keep_prob=1.0)
+    t = random_tree(rng, 11, max_deg=4)
+    rooted = count_copies_brute(g, t, root_image=0).labelled
+    assert rooted == _reference_count(g, t, root_image=0)
+    assert len(calls) == 1 and calls[0][0] is g
 
 
 def test_subset_count_complete_hosts():

@@ -1,10 +1,15 @@
 """Golden outputs at fixed seeds, pinned across versions of the library.
 
-Every expected value below was recorded from the loop-based matching
-kernels (per-arc ``normality``, per-column ``_redistribute_rows``) before
-they were vectorised; a rewrite that claims identical behaviour must
-reproduce them bit for bit.  The pipeline digests are SHA-256 of
-``trace_to_json``, so they pin every stage's images, floats and notes.
+The normality values were recorded from the loop-based matching kernels
+(per-arc ``normality``, per-column ``_redistribute_rows``) before they were
+vectorised.  The image digests were recorded before ``_redistribute_rows``
+stopped trading with rows already within ``tol / 4`` of unit sum, and hold
+after it: that floor changes the last bits of rebalanced weights, not which
+vertices a stage chooses.  The pipeline trace digests and the rebalanced
+weights were recorded again with the floor.  A rewrite that claims
+identical behaviour must reproduce all of them bit for bit.  The pipeline
+digests are SHA-256 of ``trace_to_json``, so they pin every stage's images,
+floats and notes; the image digests leave the floats out.
 """
 
 from __future__ import annotations
@@ -42,17 +47,17 @@ def _spanning_case(n: int, host_seed: int):
 # (n, host_seed, pipeline seed, re-solved stages after stage 0, digest)
 PIPELINE_CASES = [
     (40, 0, 0, 1,
-     "c356d515b58989d5eefee7762e40d7e7754771c5eafd3a69fb4714279de96ff6"),
+     "4aed86900520c9dde49196c655145e4725559174e1b312e97ae891e0fa381df6"),
     (40, 1, 1, 0,
-     "71eb57fccee3cc04edb98c5fca1edbbe17b797ca508feb68860b8ad787618ac8"),
+     "ff77269ee1cdd1af7b7ae8fdbfad732ee34b6d3b349c83780529bfa2a4967494"),
     (60, 0, 0, 1,
-     "fb74fba47cb42c20dd8247551139d9c95f3d3fd1ddee24e2c5e5f9783edc1c34"),
+     "e06f8b1bfc1e6e4c314e8046b9f91127e1d0b32001cb2128389340b2677e6cd6"),
     (60, 2, 1, 2,
-     "fa0d63b74fa4559b139f0ce3ef5237f6559c446c58f29ff3a942d5ecce404e3c"),
+     "2e1af0b14a711b6746dae40e416b04248b3f449da47c752af1d9cde919b7f282"),
     (100, 0, 0, 1,
-     "b86067d491091ef402568ed1be5482777a248d26f27e5f9cb7e5e448edeffaf4"),
+     "997083c8b026226cd7d9c05f846d7850a2c759ff3ef515456ca2e267ea44c3db"),
     (100, 0, 1, 0,
-     "9b63dd54494d16196a1f0c6c2b607759ccb849960e480bf11711712ef8925599"),
+     "4dbd083ccb0a8a7ba19a24afbfcf95db31f4feed0f799d14b046d032799e40b7"),
 ]
 
 
@@ -123,15 +128,15 @@ def test_rebalance_weights_bitwise():
     )
     res = rebalance_after_removal(x, removed, attach_out=a_out, attach_in=a_in)
     assert _sha(res.matching.weights.tobytes()) == (
-        "80d4672b1a5b6de8137b4af7e907d18904f78426327ed466048aadb1cd07928c"
+        "b34662a6785c0a15fdd859e5c7c27874f81296e46dbfb390fc9cd5df1b0a33bc"
     )
     assert res.report.passes == 2
     assert res.report.entropy == 152.27166213167385
-    assert normality(res.matching).b_min == 2.0085368692403858
+    assert normality(res.matching).b_min == 2.0085368692403875
     assert normality(res.matching).attaining == ((3, 5),)
     plain = rebalance_after_removal(x, removed)
     assert _sha(plain.matching.weights.tobytes()) == (
-        "cc8a29544f99b071b97197d3041cf45cc9a1e6dd1ec874b336c4755c88c43d18"
+        "7a53ef88f8e0e92000615d0978b188b805f72fbb0ddf07a3f08dcaf4280e282b"
     )
     assert plain.report.passes == 2
     assert plain.report.entropy == 146.24269142413436

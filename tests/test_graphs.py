@@ -23,6 +23,7 @@ from treecount.graphs import (
     to_bipartite,
     write_graph_text,
 )
+from treecount.matching import _support_mask
 
 
 def test_digraph_basic():
@@ -110,3 +111,33 @@ def test_roundtrip_random(n, seed):
     }
     g = Digraph(n, arcs)
     assert parse_graph_text(write_graph_text(g)) == g
+
+
+def _masks():
+    yield np.zeros((0, 0), dtype=bool)
+    yield np.zeros((1, 1), dtype=bool)
+    rng = np.random.default_rng(7)
+    for n, p in ((3, 0.9), (5, 0.3), (12, 0.5), (30, 0.7), (30, 0.05)):
+        m = rng.random((n, n)) < p
+        np.fill_diagonal(m, False)
+        m[n // 2] = False       # a vertex with no out-arcs
+        m[:, n - 1] = False     # and one with no in-arcs
+        yield m
+
+
+@pytest.mark.parametrize("mask", list(_masks()), ids=lambda m: f"n{len(m)}-m{int(m.sum())}")
+def test_from_mask_equals_arc_list_build(mask):
+    arcs = list(zip(*np.nonzero(mask)))
+    g = Digraph(len(mask), [(int(u), int(v)) for u, v in arcs])
+    h = Digraph._from_mask(mask.copy())
+    assert h.n == g.n and h.edges == g.edges
+    assert h.out_adj == g.out_adj and h.in_adj == g.in_adj
+    assert all(type(v) is int for adj in h.out_adj + h.in_adj for v in adj)
+    assert h == g and hash(h) == hash(g)
+    # the mask is taken over as the host's cached support mask
+    assert np.array_equal(_support_mask(h), mask)
+    assert _support_mask(g) is _support_mask(g)
+    with pytest.raises(ValueError):
+        _support_mask(g)[0:1, 0:1] = True
+    with pytest.raises(ValueError):
+        _support_mask(h)[0:1, 0:1] = True

@@ -393,8 +393,18 @@ def test_rebalance_semidegree_collapse():
     sparse = Digraph(4, [(0, 1), (1, 0), (1, 2), (2, 1), (2, 3), (3, 2),
                          (3, 0), (0, 3)])
     xs, _ = max_entropy_matching(sparse)
-    with pytest.raises(ProcedureError):
+    with pytest.raises(ProcedureError) as info:
         rebalance_after_removal(xs, [1, 3])
+    assert info.value.diagnostics == {"vertex": 0}
+    # the error names the first vertex, in new ids, that lost either side:
+    # removing 3 from the 5-cycle leaves new vertex 2 without out-arcs;
+    # removing 0 leaves new vertex 0 without in-arcs (and 3 without out)
+    c, _ = max_entropy_matching(directed_cycle(5))
+    for removed, vertex in (([3], 2), ([0], 0)):
+        with pytest.raises(ProcedureError) as info:
+            rebalance_after_removal(c, removed)
+        assert str(info.value).startswith("semidegree collapse")
+        assert info.value.diagnostics == {"vertex": vertex}
 
 
 def test_matching_minus_set_empty():
@@ -448,7 +458,8 @@ def loop_redistribute_rows(w, mask, tol, max_passes):
             need = 1.0 - s[t]
             for d in donors:
                 avail = s[d] - 1.0
-                if avail <= 0 or need <= 0:
+                # a row within tol / 4 of unit sum neither takes nor gives
+                if avail <= tol / 4 or need <= tol / 4:
                     continue
                 common = [
                     z for z in range(n)
@@ -552,6 +563,31 @@ def test_redistribute_rows_matches_loop_reference(make, seed):
         loop_redistribute_rows, b.T, mask.T
     )
     assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_redistribute_rows_leaves_settled_rows_alone(seed):
+    # a row that starts a pass within tol / 4 of unit sum is neither a
+    # taker nor a donor, so no cell of it changes in that pass; every
+    # third row is settled before the first pass, the rest keep the total
+    tol = 1e-9
+    w, mask = _shrunken_weights(seed, 30 + 5 * seed, 3 + seed)
+    third = np.arange(len(w)) % 3 == 0
+    w[third] /= w[third].sum(axis=1, keepdims=True)
+    w[~third] *= (~third).sum() / w[~third].sum()
+    for a, m in ((w, mask), (w.T, mask.T)):
+        for _ in range(10):
+            before = a.copy()
+            settled = np.abs(a.sum(axis=1) - 1.0) <= tol / 4
+            try:
+                passes = _redistribute_rows(a, m, tol, max_passes=1)
+            except ProcedureError:  # not yet within tol after one pass
+                passes = 1
+            assert np.array_equal(a[settled], before[settled])
+            if passes == 0:
+                break
+    assert np.abs(w.sum(axis=1) - 1.0).max() <= 2 * tol
+    assert np.abs(w.sum(axis=0) - 1.0).max() <= tol
 
 
 def test_redistribute_rows_stall_matches_loop_reference():
