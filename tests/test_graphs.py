@@ -125,10 +125,12 @@ def _masks():
         yield m
 
 
-@pytest.mark.parametrize("mask", list(_masks()), ids=lambda m: f"n{len(m)}-m{int(m.sum())}")
+@pytest.mark.parametrize(
+    "mask", list(_masks()), ids=lambda m: f"n{len(m)}-m{int(m.sum())}"
+)
 def test_from_mask_equals_arc_list_build(mask):
-    arcs = list(zip(*np.nonzero(mask)))
-    g = Digraph(len(mask), [(int(u), int(v)) for u, v in arcs])
+    arcs = [(int(u), int(v)) for u, v in zip(*np.nonzero(mask))]
+    g = Digraph(len(mask), arcs)
     h = Digraph._from_mask(mask.copy())
     assert h.n == g.n and h.edges == g.edges
     assert h.out_adj == g.out_adj and h.in_adj == g.in_adj
