@@ -73,6 +73,15 @@ class Digraph:
         self._mask = mask
         return self
 
+    def __getstate__(self):
+        # the cached mask stays behind, so a copy builds its own read-only
+        # one on first use (a pickled array comes back writable)
+        return self.n, self.edges, self.out_adj, self.in_adj
+
+    def __setstate__(self, state) -> None:
+        self.n, self.edges, self.out_adj, self.in_adj = state
+        self._mask = None
+
     def deg_out(self, v: int) -> int:
         return len(self.out_adj[v])
 

@@ -52,6 +52,9 @@ class PerfectFractionalMatching:
         n = host.n
         if w.shape != (n, n):
             raise InputError(f"weight matrix must be {n}x{n}, got {w.shape}")
+        # a NaN weight would pass every comparison below
+        if not np.isfinite(w).all():
+            raise InputError("arc weights must be finite")
         if np.any(w < -1e-15):
             raise InputError("negative arc weight")
         w[w < 0] = 0.0

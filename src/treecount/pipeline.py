@@ -156,6 +156,7 @@ def run_pipeline(
     cur_to_orig: list[int] = list(range(n))
     cur_g = g
     cur_x: Optional[PerfectFractionalMatching] = None
+    cur_h = 0.0  # matching_entropy(cur_x)
     method = "scaling"
 
     def to_tree_id(piece_local: int, piece: TreePiece) -> int:
@@ -181,6 +182,7 @@ def run_pipeline(
                 raise ProcedureError(
                     str(exc), stage=idx, trace=partial_trace()
                 ) from exc
+            cur_h = matching_entropy(cur_x)
             method = "scaling"
         if idx == 0:
             root_cur = int(rng.integers(0, cur_g.n))
@@ -224,7 +226,7 @@ def run_pipeline(
             host_size=cur_g.n,
             matching_method=method,
             b_normality=normality(cur_x).b_min,
-            entropy=matching_entropy(cur_x),
+            entropy=cur_h,
             sum_residual=float(max(
                 abs(cur_x.weights.sum(axis=1) - 1.0).max(),
                 abs(cur_x.weights.sum(axis=0) - 1.0).max(),
@@ -265,6 +267,7 @@ def run_pipeline(
             )
             cur_g = res.matching.host
             cur_x = res.matching
+            cur_h = res.report.entropy
             method = "rebalance"
         except ProcedureError:
             arcs = [

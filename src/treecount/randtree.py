@@ -6,14 +6,25 @@ toward the child and incoming weights otherwise.  Siblings are independent
 given the parent image, so exact marginals and the exact entropy of the
 whole random embedding follow by forward propagation.
 
-One kernel, ``_draw``, makes every draw: ``sample_tree`` passes it one
-root and ``sample_trees_batch`` one root per sample.  Per tree edge it
-sorts the samples by parent image and finds the children of each parent
-by one binary search over that parent's cumulative row.  A row is summed
-the first time a parent uses it and kept for the rest of the call, so a
-single draw reads about one row per tree edge, and a batch needs memory
-for its output, a few columns of draws and at most n rows per direction,
-not a samples x n block per tree edge.
+``_draw`` makes every draw.  A child's image is the cell that a binary
+search (``side="left"``) over the parent image's cumulative row finds for
+u times the row total, and two paths compute it, chosen by the number of
+roots alone:
+
+- one root (``sample_tree``, or a batch of one): one scalar search per
+  tree edge over a row summed on first use, since anything built per row
+  would serve only that search;
+- more roots (``sample_trees_batch``): per tree edge, every sample starts
+  at its row's n-bucket guide (the cutpoint method; Chen & Asau 1974,
+  Devroye 1986 III.2.4) and walks, all samples at once, to the searched
+  cell.  The walk, not the guide, decides the cell, so a batch needs
+  neither a sort nor a binary search, and its images stay the search's.
+
+Both paths give the same images and log-probabilities from the same random
+stream, bit for bit.  Rows (and guides) are built on first use and kept for
+the call: about one row per tree edge for a single draw, at most n per
+direction for a batch, next to its output and a few columns of draws, not
+a samples x n block per tree edge.
 """
 
 from __future__ import annotations
@@ -97,47 +108,156 @@ def _draw(
 
     Images come out as an array of shape (len(roots), t.n) in BFS order.
     Each tree edge draws one uniform u per embedding.  A child's image is
-    the first cell of the parent image's row whose cumulative weight
-    reaches u times the row total.  The samples of an edge are ordered by
-    parent image with one stable sort, so that each run of equal parents
-    is found by one binary search over that parent's cumulative row.
-    Those rows are summed only when first used and kept for the call.
+    the first cell j of the parent image's row r whose cumulative weight
+    reaches u times the row total: ``#{j : cdf[r, j] < u * cdf[r, -1]}``,
+    which is what ``searchsorted(side="left")`` returns.
+
+    One root takes the scalar path, ``_draw_one``: a guide row built for
+    one search costs more than the search.  More roots take ``_draw_many``,
+    which starts each search at a per-row guide and walks to the searched
+    cell; the walk stops only there, so the guide sets the speed, never
+    the image.
+    """
+    if len(roots) == 1:
+        images, log_prob = _draw_one(x, t, int(roots[0]), rng)
+        return np.array([images], dtype=np.int64), np.array([log_prob])
+    return _draw_many(x, t, roots, rng)
+
+
+def _draw_one(
+    x: PerfectFractionalMatching,
+    t: RootedOrientedTree,
+    root: int,
+    rng: np.random.Generator,
+) -> tuple[list[int], float]:
+    """One embedding by one scalar binary search per tree edge.
+
+    ``rng.random()`` draws the same double as ``rng.random(1)[0]``, and the
+    log-probability is summed edge by edge in BFS order, so the result
+    equals the batch path's on the same uniforms, bit for bit.
     """
     trans = _transition_matrices(x)
-    cdfs: dict[tuple[str, int], np.ndarray] = {}
     pos = _bfs_index(t)
-    k = len(roots)
-    # parents cast to the smallest integer type sort by radix, not by merge
-    small = np.min_scalar_type(x.n - 1)
-    images = np.empty((k, t.n), dtype=np.int64)
-    images[:, pos[t.root]] = roots
-    log_probs = np.zeros(k)
-    for v in t.bfs_order:
-        if v == t.root:
-            continue
+    cdfs: dict[tuple[str, int], np.ndarray] = {}
+    images = [root]
+    weights = []
+    for v in t.bfs_order[1:]:
         d = t.edge_dir[v]
-        parents = images[:, pos[t.parent[v]]].astype(small)
-        order = np.argsort(parents, kind="stable")
-        grouped = parents[order]
-        u = rng.random(k)[order]
-        cuts = (np.flatnonzero(grouped[1:] != grouped[:-1]) + 1).tolist()
-        found = np.empty(k, dtype=np.int64)
-        for lo, hi in zip([0] + cuts, cuts + [k]):
-            r = int(grouped[lo])
-            cdf = cdfs.get((d, r))
-            if cdf is None:
-                cdf = cdfs[d, r] = np.cumsum(trans[d][r])
-            found[lo:hi] = np.searchsorted(cdf, u[lo:hi] * cdf[-1])
-        p = trans[d][grouped, found]
+        r = images[pos[t.parent[v]]]
+        cdf = cdfs.get((d, r))
+        if cdf is None:
+            cdf = cdfs[d, r] = np.cumsum(trans[d][r])
+        child = int(cdf.searchsorted(rng.random() * cdf[-1]))
+        p = trans[d][r, child]
+        if p <= 0:
+            raise ProcedureError(
+                "sampled a zero-weight arc; matching has support gaps", count=1
+            )
+        images.append(child)
+        weights.append(p)
+    log_prob = 0.0
+    for lp in np.log2(weights).tolist():
+        log_prob += lp
+    return images, log_prob
+
+
+def _guide_rows(cdf: np.ndarray, dtype: np.dtype) -> np.ndarray:
+    """n-bucket guide rows: ``guide[r, b] = #{j : floor(cdf[r, j] n / cdf[r, -1]) < b}``.
+
+    A search for u in [b/n, (b+1)/n) starts at ``guide[r, b]``.  A row
+    whose total is 0 or NaN has NaN keys, which become n, so its guide is
+    0; every row's last key is set to n, so no guide passes cell n - 1.
+    """
+    m, n = cdf.shape
+    with np.errstate(divide="ignore", invalid="ignore"):
+        keys = np.fmin(cdf * (n / cdf[:, -1:]), n).astype(np.intp)
+    keys[:, -1] = n
+    keys += np.arange(0, m * (n + 1), n + 1)[:, None]
+    counts = np.bincount(keys.ravel(), minlength=m * (n + 1)).reshape(m, n + 1)
+    guide = np.zeros((m, n), dtype=dtype)
+    np.cumsum(counts[:, : n - 1], axis=1, out=guide[:, 1:])
+    return guide
+
+
+def _draw_many(
+    x: PerfectFractionalMatching,
+    t: RootedOrientedTree,
+    roots: np.ndarray,
+    rng: np.random.Generator,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Embeddings by a guided linear search (the cutpoint method).
+
+    Per direction, the rows that parents use are summed on first use and
+    kept for the call, each with its n-bucket guide row (``_guide_rows``).
+    A sample with uniform u and parent r sets ``target = u * cdf[r, -1]``,
+    starts at ``a = guide[r, min(floor(u n), n - 1)]``, walks forward while
+    ``cdf[r, a] < target`` and then back while ``a > 0`` and
+    ``cdf[r, a - 1] >= target``.  It stops only where ``cdf[r, a - 1] <
+    target <= cdf[r, a]`` (or at a = 0), so it returns the binary search's
+    cell whatever the guide says: the guide sets the speed, never the
+    image.  A sample that moved forward needs no backward step.
+    """
+    n, k = x.n, len(roots)
+    trans = _transition_matrices(x)
+    w = np.ascontiguousarray(x.weights).ravel()
+    pos = _bfs_index(t)
+    small = np.min_scalar_type(n - 1)
+    tables: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = {}
+    used = np.zeros(n, dtype=bool)
+    # one contiguous row of images per tree vertex, returned transposed
+    images = np.empty((t.n, k), dtype=np.int64)
+    images[pos[t.root]] = roots
+    log_probs = np.zeros(k)
+    for v in t.bfs_order[1:]:
+        d = t.edge_dir[v]
+        if d not in tables:
+            tables[d] = (np.empty((n, n)), np.empty((n, n), dtype=small),
+                         np.empty(n), np.zeros(n, dtype=bool))
+        cdf, guide, totals, built = tables[d]
+        parents = images[pos[t.parent[v]]]
+        if not built.all():
+            used[:] = False
+            used[parents] = True
+            new = np.flatnonzero(used & ~built)
+            block = np.cumsum(trans[d][new], axis=1)
+            cdf[new] = block
+            guide[new] = _guide_rows(block, small)
+            totals[new] = block[:, -1]
+            built[new] = True
+        u = rng.random(k)
+        target = totals[parents]
+        target *= u
+        base = parents * n  # flat index of each parent's row
+        u *= n
+        at = u.astype(np.intp)  # the bucket floor(u n)
+        del u
+        np.minimum(at, n - 1, out=at)
+        at += base
+        np.add(base, guide.ravel()[at], out=at)  # the flat start cell
+        flat = cdf.ravel()
+        move = np.flatnonzero(flat[at] < target)
+        while move.size:
+            at[move] += 1
+            move = move[flat[at[move]] < target[move]]
+        # where at == base, at - 1 reads outside the row, and at > base
+        # discards it
+        move = np.flatnonzero((at > base) & (flat[at - 1] >= target))
+        while move.size:
+            at[move] -= 1
+            move = move[(at[move] > base[move])
+                        & (flat[at[move] - 1] >= target[move])]
+        found = images[pos[v]]
+        np.subtract(at, base, out=found)
+        # the weight of cell (parents, found) of trans[d], read from w
+        p = w[at] if d == DOWN else w[found * n + parents]
         bad = p <= 0
         if bad.any():
             raise ProcedureError(
                 "sampled a zero-weight arc; matching has support gaps",
                 count=int(bad.sum()),
             )
-        images[order, pos[v]] = found
-        log_probs[order] += np.log2(p)
-    return images, log_probs
+        log_probs += np.log2(p)
+    return images.T, log_probs
 
 
 def sample_tree(
@@ -149,12 +269,11 @@ def sample_tree(
 ) -> Realisation:
     """Sample one random embedding of t rooted at start."""
     _check_inputs(g, x, start)
-    images, log_probs = _draw(x, t, np.array([start]), as_stream(seed))
-    imgs = tuple(images[0].tolist())
+    images, log_prob = _draw_one(x, t, int(start), as_stream(seed))
     return Realisation(
-        images=imgs,
-        log_prob=float(log_probs[0]),
-        self_avoiding=len(set(imgs)) == len(imgs),
+        images=tuple(images),
+        log_prob=log_prob,
+        self_avoiding=len(set(images)) == len(images),
     )
 
 
@@ -205,11 +324,22 @@ def sample_trees_batch(
     roots = (np.full(samples, start) if start is not None
              else rng.integers(0, g.n, size=samples))
     images, log_probs = _draw(x, t, roots, rng)
-    srt = np.sort(images, axis=1)
     return RealisationBatch(
         seed=seed, worker=worker, images=images, log_probs=log_probs,
-        self_avoiding=np.all(srt[:, 1:] != srt[:, :-1], axis=1),
+        self_avoiding=_distinct_rows(images),
     )
+
+
+def _distinct_rows(images: np.ndarray) -> np.ndarray:
+    """Whether each row's entries are distinct, sorting about 1 MiB at a time
+    rather than a sorted copy of the whole array."""
+    k, m = images.shape
+    out = np.empty(k, dtype=bool)
+    step = max(1, 2**17 // max(m, 1))
+    for lo in range(0, k, step):
+        srt = np.sort(images[lo:lo + step], axis=1)
+        np.all(srt[:, 1:] != srt[:, :-1], axis=1, out=out[lo:lo + step])
+    return out
 
 
 def split_samples(samples: int, workers: int) -> dict[int, int]:

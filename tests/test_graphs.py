@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import copy
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -143,3 +145,14 @@ def test_from_mask_equals_arc_list_build(mask):
         _support_mask(g)[0:1, 0:1] = True
     with pytest.raises(ValueError):
         _support_mask(h)[0:1, 0:1] = True
+
+
+def test_copies_rebuild_a_read_only_mask():
+    g = complete_digraph(4)
+    mask = _support_mask(g)
+    for h in (pickle.loads(pickle.dumps(g)), copy.deepcopy(g)):
+        assert h == g and hash(h) == hash(g)
+        assert h.out_adj == g.out_adj and h.in_adj == g.in_adj
+        with pytest.raises(ValueError):
+            _support_mask(h)[0, 1] = False
+        assert np.array_equal(_support_mask(h), mask)

@@ -439,6 +439,19 @@ def test_pfm_roundtrip_bit_faithful():
     assert np.array_equal(back.weights, x.weights)
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_pfm_rejects_weights_that_are_not_finite(bad):
+    g = complete_digraph(3)
+    w = np.full((3, 3), 0.5)
+    np.fill_diagonal(w, 0.0)
+    w[0, 1] = float(bad)
+    for tol in (1e-9, math.inf):
+        with pytest.raises(InputError, match="finite"):
+            PerfectFractionalMatching(g, w, tol=tol)
+    with pytest.raises(InputError, match="finite"):
+        parse_pfm_text(f"pfm 2 2\n0 1 {bad}\n1 0 1\n")
+
+
 # ---------------------------------------------------------------------------
 # loop references for the vectorised kernels: the arithmetic is unchanged,
 # so results must agree bit for bit

@@ -8,7 +8,7 @@ import pytest
 
 from helpers import random_dense_digraph, random_tree
 from treecount.entropy import plugin_entropy
-from treecount.errors import InputError
+from treecount.errors import InputError, ProcedureError
 from treecount.graphs import Digraph, complete_digraph, directed_cycle
 from treecount.matching import (
     PerfectFractionalMatching,
@@ -335,6 +335,132 @@ def test_draw_matches_complex_key_reference(k):
         )
         assert np.array_equal(images, ref_images)
         assert np.array_equal(log_probs, ref_log_probs)
+
+
+class Uniforms:
+    """Stands in for a Generator: every draw gets the same crafted uniforms,
+    all of them for ``random(k)`` and the first for ``random()``."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=float)
+
+    def random(self, size=None):
+        if size is None:
+            return float(self.u[0])
+        assert size == len(self.u)
+        return self.u.copy()
+
+
+def bucket_edges(n):
+    # every b/n, its neighbours either side, and the largest double below 1
+    edges = np.arange(n) / n
+    return np.unique(np.concatenate([
+        edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0),
+        [0.0, np.nextafter(1.0, 0.0)],
+    ]))
+
+
+def concentrated_matching(n):
+    # each row keeps 1 - 1/n in one cell and spreads 1/n over the others,
+    # so the cells after the heavy one share the last bucket, and a walk
+    # there can cross most of the row
+    w = np.full((n, n), 1.0 / (n * (n - 2)))
+    np.fill_diagonal(w, 0.0)
+    w[np.arange(n), (np.arange(n) + 1) % n] = 1.0 - 1.0 / n
+    g = Digraph(n, zip(*np.nonzero(w)))
+    return PerfectFractionalMatching(g, w, tol=math.inf)
+
+
+def decimal_matching(rng, n, step):
+    # multiples of a step that binary fractions do not hold exactly: a few
+    # cumulative weights land on a bucket edge b/n of their row's total,
+    # where rounding puts the guide past the search's cell
+    w = rng.integers(0, 4, (n, n)) * step
+    np.fill_diagonal(w, 0.0)
+    w[np.arange(n), (np.arange(n) + 1) % n] += step
+    g = Digraph(n, zip(*np.nonzero(w)))
+    return PerfectFractionalMatching(g, w, tol=math.inf)
+
+
+def zero_row_matching(n, z):
+    # row z (out-weights of z) and column z (in-weights) sum to 0
+    w = np.ones((n, n))
+    np.fill_diagonal(w, 0.0)
+    w[z] = 0.0
+    w[:, z] = 0.0
+    g = Digraph(n, zip(*np.nonzero(w)))
+    return PerfectFractionalMatching(g, w, tol=math.inf)
+
+
+@pytest.mark.parametrize("make", [
+    lambda rng: sparse_random_matching(rng, 5),
+    lambda rng: sparse_random_matching(rng, 40),
+    lambda rng: sparse_random_matching(rng, 300),
+    lambda rng: permutation_average_matching(rng, 6, 2),
+    lambda rng: permutation_average_matching(rng, 50, 3),
+    lambda rng: permutation_average_matching(rng, 200, 4),
+    lambda rng: concentrated_matching(30),
+    lambda rng: concentrated_matching(257),
+    lambda rng: decimal_matching(rng, 3, 0.1),
+    lambda rng: decimal_matching(rng, 60, 0.1),
+    lambda rng: decimal_matching(rng, 60, 0.7),
+], ids=["sparse5", "sparse40", "sparse300", "ties6", "ties50", "ties200",
+        "heavy30", "heavy257", "decimal3", "decimal60", "decimal60x7"])
+def test_guided_search_at_bucket_edges(make):
+    # every row, in both directions, meets every bucket edge and its
+    # neighbours; both paths must give the complex-key reference's images
+    # and log-probabilities bit for bit, and raise where it picks a
+    # zero-weight cell (u = 0 on a row whose first cell is empty)
+    x = make(np.random.default_rng(5))
+    t = RootedOrientedTree([-1, 0, 0], [None, DOWN, UP])
+    edges = bucket_edges(x.n)
+    roots = np.repeat(np.arange(x.n), len(edges))
+    u = np.tile(edges, x.n)
+    with np.errstate(divide="ignore"):
+        ref_images, ref_log_probs = complex_key_draw(x, t, roots, Uniforms(u))
+    ok = np.isfinite(ref_log_probs)
+    images, log_probs = _draw(x, t, roots[ok], Uniforms(u[ok]))
+    assert np.array_equal(images, ref_images[ok])
+    assert np.array_equal(log_probs, ref_log_probs[ok])
+    if not ok.all():
+        with pytest.raises(ProcedureError, match="zero-weight arc"):
+            _draw(x, t, roots, Uniforms(u))
+    step = max(1, len(roots) // 1500)
+    for i in range(0, len(roots), step):
+        one = Uniforms(u[i:i + 1])
+        if ok[i]:
+            images, log_probs = _draw(x, t, roots[i:i + 1], one)
+            assert np.array_equal(images[0], ref_images[i])
+            assert np.array_equal(log_probs[0], ref_log_probs[i])
+        else:
+            with pytest.raises(ProcedureError, match="zero-weight arc"):
+                _draw(x, t, roots[i:i + 1], one)
+
+
+@pytest.mark.parametrize("d", [DOWN, UP])
+def test_zero_total_row_raises_on_both_paths(d):
+    x = zero_row_matching(12, z=4)
+    t = RootedOrientedTree([-1, 0], [None, d])
+    edges = bucket_edges(x.n)
+    roots = np.full(len(edges), 4)
+    with pytest.raises(ProcedureError, match="zero-weight arc") as err:
+        _draw(x, t, roots, Uniforms(edges))
+    assert err.value.diagnostics["count"] == len(edges)
+    # mixed with other rows, it counts the same zero-weight draws as the
+    # reference: row 4's, and u = 0 on row 0, whose first cell is empty
+    mixed = np.arange(len(edges)) % x.n
+    with np.errstate(divide="ignore"):
+        _, ref_log_probs = complex_key_draw(x, t, mixed, Uniforms(edges))
+    with pytest.raises(ProcedureError) as err:
+        _draw(x, t, mixed, Uniforms(edges))
+    assert err.value.diagnostics["count"] == np.count_nonzero(
+        np.isneginf(ref_log_probs)
+    )
+    for u in edges:
+        with pytest.raises(ProcedureError, match="zero-weight arc"):
+            _draw(x, t, np.array([4]), Uniforms([u]))
+    with pytest.raises(ProcedureError, match="zero-weight arc"):
+        sample_tree(x.host, x, t, 4, seed=0)
 
 
 def test_split_samples():
