@@ -139,7 +139,7 @@ def _prefix_steps(g: Digraph, t: RootedOrientedTree) -> list:
     matrix that takes its host-vertex vector to its parent's (A.T for a
     DOWN edge, A for UP), so that ``f @ step`` sums f over the arcs the
     edge may use.  Position 0 has no entry (None)."""
-    adj = matching._support_mask(g).astype(np.int64)
+    adj = g.mask.astype(np.int64)
     order = t.bfs_order
     pos = {v: i for i, v in enumerate(order)}
     return [None] + [

@@ -1,7 +1,12 @@
 """Immutable directed and undirected graph types with semidegree metadata.
 
-Vertices are dense integer ids 0..n-1.  Neighbor lists are stored sorted so
-that iteration order is deterministic, which keeps all downstream sampling
+Vertices are dense integer ids 0..n-1.  A digraph is stored as its n x n
+boolean adjacency matrix, ``Digraph.mask``, and nothing else: the hosts
+this package embeds into have minimum semidegree above n/2, so they hold
+more than n^2/2 arcs, and a bool matrix is both the smallest form of such
+a host and the one the numpy kernels read.  The arc set and the sorted
+neighbour lists are derived from the mask on first use and cached, so
+iteration order is deterministic, which keeps all downstream sampling
 reproducible.  Self-loops are rejected at construction.
 """
 
@@ -16,94 +21,104 @@ import numpy as np
 from .errors import InputError, ParseError
 
 
-class Digraph:
-    """A simple digraph: ordered pairs (u, v) with u != v, no parallel arcs."""
+def _row_lists(mask: np.ndarray) -> tuple[tuple[int, ...], ...]:
+    """Each row's True columns, as a tuple of ascending Python ints."""
+    return tuple(tuple(np.flatnonzero(row).tolist()) for row in mask)
 
-    __slots__ = ("n", "edges", "out_adj", "in_adj", "_mask")
+
+class Digraph:
+    """A simple digraph: ordered pairs (u, v) with u != v, no parallel arcs.
+
+    ``mask`` is the read-only bool matrix with ``mask[u, v]`` True exactly
+    when (u, v) is an arc; it is the digraph's whole state next to ``n``.
+    ``edges`` (a frozenset of pairs) and ``out_adj``/``in_adj`` (tuples of
+    ascending neighbour ids) are views built from it on first read.
+    """
+
+    __slots__ = ("n", "mask", "_edges", "_out_adj", "_in_adj")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 0:
             raise InputError("vertex count must be nonnegative")
-        edge_set = set()
-        for u, v in edges:
+        arcs = list(edges)
+        for u, v in arcs:
             if not (0 <= u < n and 0 <= v < n):
                 raise InputError(f"arc ({u},{v}) out of range for n={n}")
             if u == v:
                 raise InputError(f"self-loop at vertex {u}")
-            edge_set.add((u, v))
-        out_lists: list[list[int]] = [[] for _ in range(n)]
-        in_lists: list[list[int]] = [[] for _ in range(n)]
-        for u, v in edge_set:
-            out_lists[u].append(v)
-            in_lists[v].append(u)
-        self.n = n
-        self.edges = frozenset(edge_set)
-        self.out_adj = tuple(tuple(sorted(a)) for a in out_lists)
-        self.in_adj = tuple(tuple(sorted(a)) for a in in_lists)
-        self._mask = None  # support mask, filled by matching._support_mask
+        mask = np.zeros((n, n), dtype=bool)
+        if arcs:
+            tails, heads = zip(*arcs)
+            mask[tails, heads] = True
+        self.__setstate__(mask)
 
     @classmethod
     def _from_mask(cls, mask: np.ndarray) -> "Digraph":
         """The digraph whose arcs are the True cells of a square bool matrix.
 
         Trusted: nothing is checked, so the caller guarantees a square bool
-        array with a False diagonal.  Its one caller is
-        ``matching.rebalance_after_removal``, whose mask is a block of an
-        existing host's support plus the attach row and column.  The
-        digraph takes the array over as its cached support mask and makes
-        it read-only.  ``np.nonzero`` lists cells row-major, so the
-        neighbour lists come out sorted, as ``__init__`` makes them.
+        array with a False diagonal.  The callers pass a block of an
+        existing host's mask (``induced_subgraph``, ``remove_vertices``) or
+        such a block plus an attached vertex
+        (``matching.rebalance_after_removal``).  The digraph takes the array
+        over and makes it read-only.
         """
-        n = mask.shape[0]
-        rows, cols = np.nonzero(mask)
-        out_adj = cols.tolist()
-        in_adj = np.nonzero(mask.T)[1].tolist()
-        out_ends = np.cumsum(mask.sum(axis=1)).tolist()
-        in_ends = np.cumsum(mask.sum(axis=0)).tolist()
-        mask.setflags(write=False)
         self = cls.__new__(cls)
-        self.n = n
-        self.edges = frozenset(zip(rows.tolist(), out_adj))
-        self.out_adj = tuple(
-            tuple(out_adj[a:b]) for a, b in zip([0] + out_ends, out_ends)
-        )
-        self.in_adj = tuple(
-            tuple(in_adj[a:b]) for a, b in zip([0] + in_ends, in_ends)
-        )
-        self._mask = mask
+        self.__setstate__(mask)
         return self
 
     def __getstate__(self):
-        # the cached mask stays behind, so a copy builds its own read-only
-        # one on first use (a pickled array comes back writable)
-        return self.n, self.edges, self.out_adj, self.in_adj
+        return self.mask
 
-    def __setstate__(self, state) -> None:
-        self.n, self.edges, self.out_adj, self.in_adj = state
-        self._mask = None
+    def __setstate__(self, mask: np.ndarray) -> None:
+        """Take ``mask`` over; every constructor ends here."""
+        # a pickled or copied array comes back writable
+        mask.setflags(write=False)
+        self.n = mask.shape[0]
+        self.mask = mask
+        self._edges = self._out_adj = self._in_adj = None
+
+    @property
+    def edges(self) -> frozenset:
+        if self._edges is None:
+            rows, cols = np.nonzero(self.mask)
+            self._edges = frozenset(zip(rows.tolist(), cols.tolist()))
+        return self._edges
+
+    @property
+    def out_adj(self) -> tuple[tuple[int, ...], ...]:
+        if self._out_adj is None:
+            self._out_adj = _row_lists(self.mask)
+        return self._out_adj
+
+    @property
+    def in_adj(self) -> tuple[tuple[int, ...], ...]:
+        if self._in_adj is None:
+            self._in_adj = _row_lists(self.mask.T)
+        return self._in_adj
 
     def deg_out(self, v: int) -> int:
-        return len(self.out_adj[v])
+        return int(np.count_nonzero(self.mask[v]))
 
     def deg_in(self, v: int) -> int:
-        return len(self.in_adj[v])
+        return int(np.count_nonzero(self.mask[:, v]))
 
     def has_arc(self, u: int, v: int) -> bool:
-        return (u, v) in self.edges
+        return 0 <= u < self.n and 0 <= v < self.n and bool(self.mask[u, v])
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return int(np.count_nonzero(self.mask))
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Digraph)
             and self.n == other.n
-            and self.edges == other.edges
+            and np.array_equal(self.mask, other.mask)
         )
 
     def __hash__(self) -> int:
-        return hash((self.n, self.edges))
+        return hash((self.n, np.packbits(self.mask).tobytes()))
 
     def __repr__(self) -> str:
         return f"Digraph(n={self.n}, m={self.m})"
@@ -154,14 +169,6 @@ class Graph:
 
 
 @dataclass(frozen=True)
-class BipartiteDouble:
-    """The balanced bipartite graph with sides v+ and v- and one edge per arc."""
-
-    n: int
-    edges: frozenset  # pairs (i, j) meaning v_i^+ v_j^-
-
-
-@dataclass(frozen=True)
 class EpsilonWitness:
     """The largest epsilon with min-semidegree >= (1/2 + epsilon) * n."""
 
@@ -177,11 +184,7 @@ def min_semidegree(g: Digraph) -> int:
     """min over v of min(deg+(v), deg-(v)); 0 for the empty graph."""
     if g.n == 0:
         return 0
-    return min(min(g.deg_out(v), g.deg_in(v)) for v in range(g.n))
-
-
-def to_bipartite(g: Digraph) -> BipartiteDouble:
-    return BipartiteDouble(n=g.n, edges=frozenset(g.edges))
+    return int(min(g.mask.sum(axis=1).min(), g.mask.sum(axis=0).min()))
 
 
 def double_orient(g: Graph) -> Digraph:
@@ -201,12 +204,7 @@ def remove_vertices(g: Digraph, s: Iterable[int]) -> tuple[Digraph, dict[int, in
             raise InputError(f"unknown vertex id {v}")
     keep = [v for v in range(g.n) if v not in s]
     relabel = {old: new for new, old in enumerate(keep)}
-    arcs = [
-        (relabel[u], relabel[v])
-        for (u, v) in g.edges
-        if u not in s and v not in s
-    ]
-    return Digraph(len(keep), arcs), relabel
+    return Digraph._from_mask(g.mask[np.ix_(keep, keep)]), relabel
 
 
 def induced_subgraph(g: Digraph, keep: Sequence[int]) -> tuple[Digraph, dict[int, int]]:
@@ -218,12 +216,7 @@ def induced_subgraph(g: Digraph, keep: Sequence[int]) -> tuple[Digraph, dict[int
         if not (0 <= v < g.n):
             raise InputError(f"unknown vertex id {v}")
     relabel = {old: new for new, old in enumerate(keep)}
-    arcs = [
-        (relabel[u], relabel[v])
-        for (u, v) in g.edges
-        if u in relabel and v in relabel
-    ]
-    return Digraph(len(keep), arcs), relabel
+    return Digraph._from_mask(g.mask[np.ix_(keep, keep)]), relabel
 
 
 def epsilon_of(g: Digraph) -> EpsilonWitness:

@@ -27,21 +27,6 @@ SOLVER_TOL = 1e-10
 SHIFT_ENTROPY_TOL = 1e-12
 
 
-def _support_mask(g: Digraph) -> np.ndarray:
-    """g's boolean adjacency matrix, built once per host and cached on it.
-
-    The array is read-only; callers that need to change it copy it first.
-    """
-    mask = g._mask
-    if mask is None:
-        mask = np.zeros((g.n, g.n), dtype=bool)
-        for u, outs in enumerate(g.out_adj):
-            mask[u, list(outs)] = True
-        mask.setflags(write=False)
-        g._mask = mask
-    return mask
-
-
 class PerfectFractionalMatching:
     """Immutable arc weighting with unit out- and in-sums at every vertex."""
 
@@ -58,7 +43,7 @@ class PerfectFractionalMatching:
         if np.any(w < -1e-15):
             raise InputError("negative arc weight")
         w[w < 0] = 0.0
-        off = ~_support_mask(host)
+        off = ~host.mask
         if np.any(w[off] != 0.0):
             raise InputError("nonzero weight on a non-arc")
         if n > 0:
@@ -135,8 +120,8 @@ class NormalityReport:
 
 
 def normality(x: PFM) -> NormalityReport:
-    """Arcs are visited row-major, the order of ``sorted(host.edges)``."""
-    rows, cols = np.nonzero(_support_mask(x.host))
+    """Arcs are visited row-major, the ascending order of (u, v) pairs."""
+    rows, cols = np.nonzero(x.host.mask)
     w = x.weights[rows, cols]
     gap = w == 0.0
     if gap.any():
@@ -171,12 +156,12 @@ def max_entropy_matching(
     n = g.n
     if n == 0:
         raise InputError("empty graph has no matching")
-    for v in range(n):
-        if g.deg_out(v) == 0 or g.deg_in(v) == 0:
-            raise InputError(f"vertex {v} has no out- or in-neighbors")
+    isolated = np.flatnonzero(~g.mask.any(axis=1) | ~g.mask.any(axis=0))
+    if isolated.size:
+        raise InputError(f"vertex {isolated[0]} has no out- or in-neighbors")
     if max_iters is None:
         max_iters = max(1000, int(10 * n * math.log(max(n, 2))) + 100)
-    A = _support_mask(g).astype(float)
+    A = g.mask.astype(float)
     r = np.ones(n)
     c = np.ones(n)
     residual = math.inf
@@ -403,7 +388,7 @@ def normalize_to_b(
             stacklevel=2,
         )
     w = (1 - lam) * m.weights + lam * partner.weights
-    mask = _support_mask(g)
+    mask = g.mask
     hi = b / n
     lo = 1.0 / (b * n)
     eps = epsilon_of(g).epsilon_float
@@ -623,7 +608,7 @@ def rebalance_after_removal(
     n_new = kept + (1 if attach else 0)
     block = np.ix_(keep, keep)
     mask = np.zeros((n_new, n_new), dtype=bool)
-    mask[:kept, :kept] = _support_mask(g)[block]
+    mask[:kept, :kept] = g.mask[block]
     u_id = None
     w = np.zeros((n_new, n_new))
     w[:kept, :kept] = np.where(mask[:kept, :kept], x.weights[block], 0.0)

@@ -270,16 +270,9 @@ def run_pipeline(
             cur_h = res.report.entropy
             method = "rebalance"
         except ProcedureError:
-            arcs = [
-                (u, v) for (u, v) in g.edges
-                if u in surviving_set and v in surviving_set
-            ]
-            relabel = {orig: i for i, orig in enumerate(survivors)}
-            u_id = len(survivors)
-            host_arcs = [(relabel[u], relabel[v]) for u, v in arcs]
-            host_arcs += [(u_id, relabel[v]) for v in attach_out]
-            host_arcs += [(relabel[v], u_id) for v in attach_in]
-            cur_g = Digraph(len(survivors) + 1, host_arcs)
+            # the attached vertex's arcs are g's arcs between the anchor and
+            # the survivors, so the host is g induced on survivors + anchor
+            cur_g = induced_subgraph(g, survivors + [anchor_orig])[0]
             cur_x = None
             method = "scaling"
         cur_to_orig = survivors + [anchor_orig]

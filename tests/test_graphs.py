@@ -22,10 +22,8 @@ from treecount.graphs import (
     min_semidegree,
     parse_graph_text,
     remove_vertices,
-    to_bipartite,
     write_graph_text,
 )
-from treecount.matching import _support_mask
 
 
 def test_digraph_basic():
@@ -36,10 +34,19 @@ def test_digraph_basic():
 
 
 def test_digraph_rejects_loops_and_range():
-    with pytest.raises(InputError):
-        Digraph(2, [(0, 0)])
-    with pytest.raises(InputError):
-        Digraph(2, [(0, 5)])
+    for wrap in (list, iter):
+        with pytest.raises(InputError, match=r"^self-loop at vertex 1$"):
+            Digraph(3, wrap([(0, 1), (1, 1), (2, 2), (0, 5)]))
+        with pytest.raises(InputError, match=r"^arc \(0,5\) out of range for n=3$"):
+            Digraph(3, wrap([(0, 1), (0, 5), (1, 1), (-1, 0)]))
+        with pytest.raises(InputError, match=r"^arc \(-1,0\) out of range for n=3$"):
+            Digraph(3, wrap([(0, 1), (-1, 0), (0, 5)]))
+    with pytest.raises(InputError, match="nonnegative"):
+        Digraph(-1, [])
+    g = Digraph(3, [(0, 1), (1, 2), (0, 1), (1, 2), (0, 1)])
+    assert g.m == 2 and g == Digraph(3, [(0, 1), (1, 2)])
+    e = Digraph(0, [])
+    assert e.n == e.m == 0 and e.edges == frozenset() and e.out_adj == ()
 
 
 def test_graph_degrees():
@@ -62,12 +69,6 @@ def test_double_orient():
     d = double_orient(g)
     assert d.m == 2 * g.m
     assert all(d.has_arc(v, u) for (u, v) in d.edges)
-
-
-def test_bipartite_double():
-    g = directed_cycle(3)
-    b = to_bipartite(g)
-    assert b.edges == frozenset({(0, 1), (1, 2), (2, 0)})
 
 
 def test_remove_and_induce():
@@ -115,6 +116,20 @@ def test_roundtrip_random(n, seed):
     assert parse_graph_text(write_graph_text(g)) == g
 
 
+def _arc_list_views(n, arcs):
+    """edges, out_adj and in_adj built straight from an arc list."""
+    out_lists = [[] for _ in range(n)]
+    in_lists = [[] for _ in range(n)]
+    for u, v in set(arcs):
+        out_lists[u].append(v)
+        in_lists[v].append(u)
+    return (
+        frozenset(arcs),
+        tuple(tuple(sorted(a)) for a in out_lists),
+        tuple(tuple(sorted(a)) for a in in_lists),
+    )
+
+
 def _masks():
     yield np.zeros((0, 0), dtype=bool)
     yield np.zeros((1, 1), dtype=bool)
@@ -138,21 +153,42 @@ def test_from_mask_equals_arc_list_build(mask):
     assert h.out_adj == g.out_adj and h.in_adj == g.in_adj
     assert all(type(v) is int for adj in h.out_adj + h.in_adj for v in adj)
     assert h == g and hash(h) == hash(g)
-    # the mask is taken over as the host's cached support mask
-    assert np.array_equal(_support_mask(h), mask)
-    assert _support_mask(g) is _support_mask(g)
+    # h takes the array over as its read-only mask
+    assert np.array_equal(h.mask, mask)
+    assert g.mask is g.mask
     with pytest.raises(ValueError):
-        _support_mask(g)[0:1, 0:1] = True
+        g.mask[0:1, 0:1] = True
     with pytest.raises(ValueError):
-        _support_mask(h)[0:1, 0:1] = True
+        h.mask[0:1, 0:1] = True
+    # the views, also of hosts sliced from the mask, match an arc-list build
+    n = len(mask)
+    assert (g.edges, g.out_adj, g.in_adj) == _arc_list_views(n, arcs)
+    order = np.random.default_rng(n).permutation(n).tolist()
+    keep = order[: (2 * n + 2) // 3]      # unsorted
+    dropped = set(order[len(keep):])
+    for (sub, relabel), kept in (
+        (induced_subgraph(g, keep), keep),
+        (remove_vertices(g, dropped), [v for v in range(n) if v not in dropped]),
+    ):
+        assert relabel == {old: new for new, old in enumerate(kept)}
+        sub_arcs = [
+            (relabel[u], relabel[v])
+            for u, v in arcs
+            if u in relabel and v in relabel
+        ]
+        assert sub.n == len(kept) and sub.m == len(sub_arcs)
+        assert (sub.edges, sub.out_adj, sub.in_adj) == _arc_list_views(
+            len(kept), sub_arcs
+        )
+        assert not sub.mask.flags.writeable
 
 
 def test_copies_rebuild_a_read_only_mask():
     g = complete_digraph(4)
-    mask = _support_mask(g)
+    mask = g.mask
     for h in (pickle.loads(pickle.dumps(g)), copy.deepcopy(g)):
         assert h == g and hash(h) == hash(g)
         assert h.out_adj == g.out_adj and h.in_adj == g.in_adj
         with pytest.raises(ValueError):
-            _support_mask(h)[0, 1] = False
-        assert np.array_equal(_support_mask(h), mask)
+            h.mask[0, 1] = False
+        assert np.array_equal(h.mask, mask)

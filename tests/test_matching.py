@@ -1,13 +1,19 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from helpers import random_dense_digraph
 from treecount.errors import InputError, ProcedureError
-from treecount.graphs import Digraph, complete_digraph, directed_cycle
+from treecount.graphs import (
+    Digraph,
+    complete_digraph,
+    directed_cycle,
+    induced_subgraph,
+)
 from treecount.matching import (
     NormalizationConfig,
     PerfectFractionalMatching,
@@ -382,6 +388,36 @@ def test_rebalance_random_dense():
     assert np.abs(z.weights.sum(axis=1) - 1).max() <= 1e-9
     assert np.abs(z.weights.sum(axis=0) - 1).max() <= 1e-9
     assert math.isfinite(res.report.slack)
+
+
+def test_rebalanced_host_is_the_induced_host():
+    # the pipeline's fallback host is g induced on the survivors and the
+    # anchor; it must equal the host rebalancing builds from its mask
+    rng = np.random.default_rng(23)
+    g = random_dense_digraph(rng, 30, min_deg=19)
+    x, _ = max_entropy_matching(g)
+    removed = rng.choice(30, size=6, replace=False).tolist()
+    anchor = removed[0]
+    keep = [v for v in range(30) if v not in removed]
+    a_out = [v for v in g.out_adj[anchor] if v in keep]
+    a_in = [v for v in g.in_adj[anchor] if v in keep]
+    res = rebalance_after_removal(x, removed, attach_out=a_out, attach_in=a_in)
+    h = res.matching.host
+    assert h == induced_subgraph(g, keep + [anchor])[0]
+
+
+def test_rebalance_memory_stays_near_the_host_mask():
+    # K_600's float weights take 2.7 MiB and its bool mask 0.34 MiB
+    g = complete_digraph(600)
+    x, _ = max_entropy_matching(g)
+    rebalance_after_removal(x, [0])
+    tracemalloc.start()
+    try:
+        rebalance_after_removal(x, [0])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
 
 
 def test_rebalance_semidegree_collapse():
