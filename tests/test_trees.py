@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -140,6 +142,193 @@ def test_quarter_decomposition_bad_n0():
         quarter_decomposition(t, 4)
     with pytest.raises(InputError):
         quarter_decomposition(t, 5 ** 4)
+
+
+def loop_invariant_report(t, dec):
+    """The set-based report that decomposition_invariant_report replaced,
+    kept as its reference: one set per piece and per owner, and a depth
+    search for each piece's hang vertex."""
+    n0, delta = dec.n0, dec.delta
+    covered: set[int] = set()
+    ok_cover = ok_subtree = ok_depths = ok_overlap = ok_window = True
+    prev_depth = -1
+    sizes = t.subtree_sizes()
+    pre = [0] * t.n
+    for v in t.bfs_order:
+        nxt = pre[v] + 1
+        for c in t.children[v]:
+            pre[c] = nxt
+            nxt += sizes[c]
+    for i, piece in enumerate(dec.pieces):
+        own = set(piece.vertices)
+        anchor = None
+        if i > 0:
+            anchor = dec.overlaps[i][1]
+            own_new = own - {anchor}
+        else:
+            own_new = own
+        if i > 0:
+            j = dec.overlaps[i][0]
+            owner_own = set(dec.pieces[j].vertices)
+            if j > 0:
+                owner_own.discard(dec.overlaps[j][1])
+            if own & covered != {anchor} or anchor not in owner_own:
+                ok_overlap = False
+        if own_new & covered:
+            ok_cover = False
+        covered |= own_new
+        hang = piece.root if i == 0 else min(own_new, key=lambda v: t.depth[v])
+        lo_pre = pre[hang]
+        hi_pre = lo_pre + sizes[hang]
+        if not all(lo_pre <= pre[v] < hi_pre for v in own_new):
+            ok_subtree = False
+        d = t.depth[piece.root]
+        if d < prev_depth:
+            ok_depths = False
+        prev_depth = d
+        r = dec.residuals[i]
+        quarter = r ** 0.25
+        lo = quarter if i == 0 else quarter + 1
+        hi = 3 * delta * quarter
+        if not (lo - 1e-9 <= piece.size <= hi + 1e-9):
+            ok_window = False
+    if covered != set(range(t.n)):
+        ok_cover = False
+    return {
+        "coverage": ok_cover,
+        "subtree_containment": ok_subtree,
+        "depths_nondecreasing": ok_depths,
+        "single_overlap": ok_overlap,
+        "size_window": ok_window,
+    }
+
+
+# the report reads a piece's vertices, root and size and nothing else
+_Piece = namedtuple("_Piece", "vertices root size")
+
+
+def _with_pieces(dec, vertex_lists, **changes):
+    """dec with its pieces replaced by the given vertex lists, each rooted
+    at its first vertex, and with any other fields changed."""
+    pieces = tuple(_Piece(tuple(vs), vs[0], len(vs)) for vs in vertex_lists)
+    return dataclasses.replace(dec, pieces=pieces, **changes)
+
+
+def _base_decomposition():
+    t = random_tree(np.random.default_rng(25), 300, max_deg=6)
+    dec = quarter_decomposition(t, 300)
+    assert all(decomposition_invariant_report(t, dec).values())
+    return t, dec, [list(p.vertices) for p in dec.pieces]
+
+
+def _leaf_below_root(t, verts):
+    """A tree leaf of the piece other than its first vertex."""
+    return next(v for v in reversed(verts[1:]) if not t.children[v])
+
+
+def _only_false(rep, key):
+    assert [k for k, ok in rep.items() if not ok] == [key], rep
+
+
+def test_report_flags_a_dropped_vertex():
+    t, dec, verts = _base_decomposition()
+    verts[-1].remove(_leaf_below_root(t, verts[-1]))
+    bad = _with_pieces(dec, verts)
+    assert not decomposition_invariant_report(t, bad)["coverage"]
+    assert decomposition_invariant_report(t, bad) == loop_invariant_report(t, bad)
+
+
+def test_report_flags_a_piece_outside_its_subtree():
+    # trading leaves between two pieces keeps the cover exact
+    t, dec, verts = _base_decomposition()
+    a, b = verts[1], verts[-1]
+    x, y = _leaf_below_root(t, a), _leaf_below_root(t, b)
+    a[a.index(x)], b[b.index(y)] = y, x
+    bad = _with_pieces(dec, verts)
+    _only_false(decomposition_invariant_report(t, bad), "subtree_containment")
+    assert decomposition_invariant_report(t, bad) == loop_invariant_report(t, bad)
+
+
+def test_report_flags_swapped_pieces():
+    t, dec, verts = _base_decomposition()
+    assert t.depth[verts[1][0]] < t.depth[verts[-1][0]]
+    verts[1], verts[-1] = verts[-1], verts[1]
+    bad = _with_pieces(dec, verts)
+    assert not decomposition_invariant_report(t, bad)["depths_nondecreasing"]
+    assert decomposition_invariant_report(t, bad) == loop_invariant_report(t, bad)
+
+
+def test_report_flags_a_wrong_overlap_owner():
+    t, dec, verts = _base_decomposition()
+    i = len(verts) - 1
+    j, w = dec.overlaps[i]
+    wrong = next(h for h in range(i) if h != j and w not in verts[h])
+    overlaps = dec.overlaps[:i] + ((wrong, w),)
+    bad = dataclasses.replace(dec, overlaps=overlaps)
+    _only_false(decomposition_invariant_report(t, bad), "single_overlap")
+    assert decomposition_invariant_report(t, bad) == loop_invariant_report(t, bad)
+
+
+def test_report_flags_an_oversized_piece():
+    # the whole tree as one piece is far above 3 * delta * n0^(1/4)
+    t, dec, _ = _base_decomposition()
+    bad = _with_pieces(dec, [list(t.bfs_order)], overlaps=(None,),
+                       residuals=(dec.n0, dec.n0 - t.n + 1))
+    _only_false(decomposition_invariant_report(t, bad), "size_window")
+    assert decomposition_invariant_report(t, bad) == loop_invariant_report(t, bad)
+
+
+def _corrupt(rng, t, dec):
+    """dec with one random corruption of its pieces, overlaps or residuals."""
+    verts = [list(p.vertices) for p in dec.pieces]
+    k = len(verts)
+    overlaps = list(dec.overlaps)
+    residuals = list(dec.residuals)
+    kind = int(rng.integers(7))
+    i, j = (int(x) for x in rng.integers(0, k, 2))
+    if kind == 0 and len(verts[i]) > 1:  # drop a vertex
+        del verts[i][int(rng.integers(1, len(verts[i])))]
+    elif kind == 1:  # repeat a vertex inside its piece
+        verts[i].append(verts[i][int(rng.integers(len(verts[i])))])
+    elif kind == 2:  # move a vertex to another piece
+        if len(verts[i]) > 1:
+            verts[j].append(verts[i].pop(int(rng.integers(1, len(verts[i])))))
+    elif kind == 3:  # swap two pieces
+        verts[i], verts[j] = verts[j], verts[i]
+    elif kind == 4 and i > 0:  # a wrong overlap owner or anchor
+        w = int(rng.integers(t.n)) if rng.random() < 0.5 else overlaps[i][1]
+        overlaps[i] = (int(rng.integers(-k, k)), w)
+    elif kind == 5:  # a wrong residual
+        residuals[i] = int(rng.integers(0, 4 * dec.n0))
+    elif kind == 6:  # a vertex shared with another piece
+        verts[j].append(verts[i][int(rng.integers(len(verts[i])))])
+    if not verts[i] or not verts[j]:
+        return dec
+    return _with_pieces(dec, verts, overlaps=tuple(overlaps),
+                        residuals=tuple(residuals))
+
+
+def test_report_matches_loop_reference():
+    rng = np.random.default_rng(26)
+    flagged = dict.fromkeys(
+        ("coverage", "subtree_containment", "depths_nondecreasing",
+         "single_overlap", "size_window"), 0)
+    for _ in range(200):
+        n = int(rng.integers(2, 400))
+        t = random_tree(rng, n, max_deg=int(rng.integers(3, 17)))
+        dec = quarter_decomposition(t, int(rng.integers(n, min(n ** 4, 4 * n) + 1)))
+        assert decomposition_invariant_report(t, dec) == loop_invariant_report(t, dec)
+        for _ in range(3):
+            dec = _corrupt(rng, t, dec)
+            try:
+                want = loop_invariant_report(t, dec)
+            except (ValueError, IndexError):
+                continue  # a piece left with only its anchor has no hang vertex
+            rep = decomposition_invariant_report(t, dec)
+            assert rep == want, (n, rep, want)
+            for key, ok in rep.items():
+                flagged[key] += not ok
+    assert min(flagged.values()) > 10, flagged
 
 
 def test_split_trunk():
