@@ -11,7 +11,10 @@ from __future__ import annotations
 import math
 from collections import Counter, deque
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, Optional, Sequence
+
+import numpy as np
 
 from .errors import InputError, ParseError
 
@@ -118,7 +121,11 @@ class RootedOrientedTree:
         return len(self.children[v]) + (0 if v == self.root else 1)
 
     def max_degree(self) -> int:
-        return max(self.degree(v) for v in range(self.n))
+        kids = list(map(len, self.children))
+        top = max(kids)
+        # every vertex but the root also has the edge to its parent, so the
+        # maximum is top + 1 unless the root alone has top children
+        return top + (kids.count(top) > (kids[self.root] == top))
 
     def subtree_sizes(self) -> list[int]:
         size = [1] * self.n
@@ -173,21 +180,58 @@ def star_tree(leaves: int, dirs: Optional[Sequence[str]] = None) -> RootedOrient
     return RootedOrientedTree(parent, edge_dir)
 
 
-@dataclass(frozen=True)
 class TreePiece:
-    """A rooted subtree extracted from a host tree.
+    """A rooted subtree of a host tree.
 
-    `tree` uses local ids 0..k-1; `vertices[local] = original id`; `root`
-    is the original id of the piece root (= vertices[tree.root]).
+    ``vertices[local] = original id``, listed in BFS order of the host tree
+    from the piece root; ``root`` is the original id of the piece root,
+    ``vertices[0]``.  ``tree`` is the piece with local ids 0..k-1.  A piece
+    cut from a host tree builds it on first read and caches it, so a caller
+    that only needs ``vertices``, ``root`` and ``size`` never pays for it.
     """
 
-    tree: RootedOrientedTree
-    vertices: tuple[int, ...]
-    root: int
+    __slots__ = ("vertices", "root", "_source", "_tree")
+
+    def __init__(self, tree: RootedOrientedTree, vertices: Sequence[int], root: int):
+        self.vertices = tuple(vertices)
+        self.root = root
+        self._source = None
+        self._tree = tree
+
+    @classmethod
+    def _cut(cls, source: RootedOrientedTree, vertices: tuple[int, ...]) -> "TreePiece":
+        """The piece of ``source`` on ``vertices``, its tree not yet built.
+
+        Trusted: the caller lists the vertices in BFS order of ``source``
+        from the piece root, with the piece root's parent prepended if the
+        piece is augmented; BFS walks (``_greedy_cut``, ``_bfs_of``,
+        ``subtree_vertices``) and filtered ``bfs_order`` lists are.
+        ``tree`` raises InputError on first read for any other order.
+        """
+        self = cls.__new__(cls)
+        self.vertices = vertices
+        self.root = vertices[0]
+        self._source = source
+        self._tree = None
+        return self
 
     @property
     def size(self) -> int:
-        return self.tree.n
+        return len(self.vertices)
+
+    @property
+    def tree(self) -> RootedOrientedTree:
+        if self._tree is None:
+            t, verts = self._source, self.vertices
+            local = {orig: i for i, orig in enumerate(verts)}
+            # a parent outside the piece maps to -1, which _from_bfs refuses
+            parent = [-1] + [local.get(t.parent[v], -1) for v in verts[1:]]
+            edge_dir = [None] + [t.edge_dir[v] for v in verts[1:]]
+            self._tree = RootedOrientedTree._from_bfs(parent, edge_dir)
+        return self._tree
+
+    def __repr__(self) -> str:
+        return f"TreePiece(size={self.size}, root={self.root})"
 
 
 def _extract_piece(
@@ -200,25 +244,18 @@ def _extract_piece(
     piece root's parent as the new root (keeping the original edge flag).
 
     piece_vertices must be the piece in BFS order of t, starting at
-    piece_root, as ``_greedy_cut``, ``_bfs_of``, ``subtree_vertices`` and a
-    filtered ``t.bfs_order`` give it.  The positions become the local ids,
-    so the piece tree is built by ``RootedOrientedTree._from_bfs``, which
-    raises InputError for any other order.
+    piece_root.  The positions become the local ids, and the piece tree is
+    built at once by ``RootedOrientedTree._from_bfs``, which raises
+    InputError for any other order.
     """
     verts = list(piece_vertices)
     if not verts or verts[0] != piece_root:
         raise InputError("piece vertices must start at the piece root")
     if augment_parent is not None:
         verts.insert(0, augment_parent)
-    local = {orig: i for i, orig in enumerate(verts)}
-    # a parent outside the piece maps to -1, which _from_bfs refuses
-    parent = [-1] + [local.get(t.parent[v], -1) for v in verts[1:]]
-    edge_dir = [None] + [t.edge_dir[v] for v in verts[1:]]
-    return TreePiece(
-        tree=RootedOrientedTree._from_bfs(parent, edge_dir),
-        vertices=tuple(verts),
-        root=verts[0],
-    )
+    piece = TreePiece._cut(t, tuple(verts))
+    piece.tree  # noqa: B018 - refuse a non-BFS order here, not on first read
+    return piece
 
 
 def _greedy_cut(
@@ -227,7 +264,8 @@ def _greedy_cut(
     """Cut subtrees deepest-first.
 
     threshold_of_cut(total_cut_so_far) gives the current minimum piece size;
-    its argument never decreases from one call to the next.  Vertices are
+    it is called once at the start and once after each cut, so its
+    argument increases from one call to the next.  Vertices are
     processed by decreasing depth, ties by smallest id, which realizes the
     maximal-distance-from-root selection rule.  Stranded shallow vertices
     join the last-cut piece, which then is rooted at the tree root.
@@ -240,12 +278,13 @@ def _greedy_cut(
     order = sorted(range(n), key=t.depth.__getitem__, reverse=True)
     pieces: list[tuple[int, list[int]]] = []
     total_cut = 0
-    # alive subtree sizes accumulate bottom-up as we sweep by depth
+    thr = threshold_of_cut(total_cut)
+    # alive subtree sizes accumulate bottom-up as we sweep by depth; a
+    # removed child is a cut root, whose size is 0 (a removed vertex below
+    # a cut root is never the child of a vertex still to be swept)
     for v in order:
         for c in t.children[v]:
-            if not removed[c]:
-                size[v] += size[c]
-        thr = threshold_of_cut(total_cut)
+            size[v] += size[c]
         if size[v] >= thr:
             verts = [v]
             queue = deque([v])
@@ -259,6 +298,7 @@ def _greedy_cut(
                 removed[u] = True
             pieces.append((v, verts))
             total_cut += len(verts)
+            thr = threshold_of_cut(total_cut)
             size[v] = 0
     leftover = [v for v in t.bfs_order if not removed[v]]
     if leftover:
@@ -276,7 +316,7 @@ def tree_partition(t: RootedOrientedTree, size_floor: int) -> list[TreePiece]:
     if size_floor > t.n:
         raise InputError(f"size_floor {size_floor} exceeds tree size {t.n}")
     pieces = _greedy_cut(t, lambda _: size_floor)
-    return [_extract_piece(t, verts, root) for root, verts in reversed(pieces)]
+    return [TreePiece._cut(t, tuple(verts)) for _, verts in reversed(pieces)]
 
 
 def _bfs_of(t: RootedOrientedTree, verts: Iterable[int], root: int) -> list[int]:
@@ -343,15 +383,15 @@ def quarter_decomposition(t: RootedOrientedTree, n0: int) -> TreeDecomposition:
     pieces: list[TreePiece] = []
     overlaps: list[Optional[tuple[int, int]]] = []
     residuals = [n0]
-    placed: dict[int, int] = {}  # original vertex -> index of piece that owns it
+    placed = [0] * n  # original vertex -> index of the piece that owns it
     cum = 0
     for idx, (root, verts) in enumerate(ordered):
         if idx == 0:
-            piece = _extract_piece(t, verts, root)
+            piece = TreePiece._cut(t, tuple(verts))
             overlaps.append(None)
         else:
             w = t.parent[root]
-            piece = _extract_piece(t, verts, root, augment_parent=w)
+            piece = TreePiece._cut(t, (w, *verts))
             overlaps.append((placed[w], w))
         for u in verts:
             placed[u] = idx
@@ -370,72 +410,98 @@ def quarter_decomposition(t: RootedOrientedTree, n0: int) -> TreeDecomposition:
 def decomposition_invariant_report(
     t: RootedOrientedTree, dec: TreeDecomposition
 ) -> dict[str, bool]:
-    """Check the five structural invariants of a quarter decomposition."""
-    n0, delta = dec.n0, dec.delta
-    covered: set[int] = set()
-    ok_cover = True
-    ok_subtree = True
-    ok_depths = True
-    ok_overlap = True
-    ok_window = True
-    prev_depth = -1
-    # preorder numbering: the subtree of v is the interval
-    # [pre[v], pre[v] + sizes[v])
+    """Check the five structural invariants of a quarter decomposition.
+
+    Piece i's own vertices N_i are its vertices less its anchor, the vertex
+    ``overlaps[i]`` names; N_0 is all of piece 0.  The checks:
+
+    - coverage: the N_i partition the vertices of t;
+    - subtree_containment: N_i lies in the subtree of its shallowest vertex,
+      and N_0 in that of piece 0's root;
+    - depths_nondecreasing: the piece roots' depths do not decrease;
+    - single_overlap: each piece i > 0 meets N_0 u ... u N_(i-1) in its
+      anchor alone, and its recorded owner j has the anchor in N_j;
+    - size_window: each piece's size lies in its window against the
+      running residual.
+
+    All of them are read off one array of the pieces' vertices, concatenated
+    in piece order.  A vertex id outside 0..n-1 or an owner index outside
+    0..k-1 raises InputError.
+    """
+    n, pieces, overlaps = t.n, dec.pieces, dec.overlaps
+    k = len(pieces)
+    lens = [len(p.vertices) for p in pieces]
+    verts = np.fromiter(
+        chain.from_iterable(p.vertices for p in pieces), np.int64, sum(lens)
+    )
+    if verts.size and not (0 <= verts.min() and verts.max() < n):
+        raise InputError("a piece vertex is not a vertex of the tree")
+    owner = np.array([0] + [ov[0] for ov in overlaps[1:k]], dtype=np.int64)
+    anchor = np.array([-1] + [ov[1] for ov in overlaps[1:k]], dtype=np.int64)
+    if not ((0 <= owner) & (owner < k)).all():
+        raise InputError("an overlap owner is not a piece index")
+    piece_of = np.repeat(np.arange(k), lens)
+    own = verts != anchor[piece_of]
+    own_piece, own_vertex = piece_of[own], verts[own]
+    # first[v] and last[v]: the first and last piece that own v, k and -1
+    # if none does; a vertex repeated inside one piece counts once
+    first = np.full(n, k)
+    np.minimum.at(first, own_vertex, own_piece)
+    last = np.full(n, -1)
+    np.maximum.at(last, own_vertex, own_piece)
+    coverage = bool((first == last).all())
+
+    # (iv) piece i owns no vertex owned before it, its anchor is owned
+    # before it, and its owner owns the anchor.  Unless every vertex has at
+    # most one owner, some piece owns a vertex owned before it, so first[]
+    # names the one owner where the last test matters.
+    owned_before = np.zeros(k, dtype=bool)
+    owned_before[own_piece[first[own_vertex] < own_piece]] = True
+    at = ~own  # the anchors' entries, all in pieces i > 0
+    anchor_owned = np.zeros(k, dtype=bool)
+    anchor_owned[piece_of[at][first[verts[at]] < piece_of[at]]] = True
+    # an anchor outside the tree is in no piece, so anchor_owned is False
+    owner_owns = first[np.clip(anchor, 0, n - 1)] == owner
+    single_overlap = bool((anchor_owned & ~owned_before & owner_owns)[1:].all())
+
+    # (ii) preorder numbering: the subtree of v is [pre[v], pre[v] + size[v]).
+    # N_i lies in the subtree of its shallowest vertex exactly when it lies
+    # in that of its vertex with the least preorder number.
     sizes = t.subtree_sizes()
-    pre = [0] * t.n
+    pre = [0] * n
     for v in t.bfs_order:
         nxt = pre[v] + 1
         for c in t.children[v]:
             pre[c] = nxt
             nxt += sizes[c]
-    for i, piece in enumerate(dec.pieces):
-        own = set(piece.vertices)
-        anchor = None
-        if i > 0:
-            anchor = dec.overlaps[i][1]
-            own_new = own - {anchor}
-        else:
-            own_new = own
-        # (iv) each later piece meets the earlier pieces in exactly its
-        # root, which must be a non-root vertex of the recorded owner
-        if i > 0:
-            j = dec.overlaps[i][0]
-            owner_own = set(dec.pieces[j].vertices)
-            if j > 0:
-                owner_own.discard(dec.overlaps[j][1])
-            if own & covered != {anchor} or anchor not in owner_own:
-                ok_overlap = False
-        if own_new & covered:
-            ok_cover = False
-        covered |= own_new
-        # (ii) piece lies below the subtree of the vertex it hangs from
-        hang = piece.root if i == 0 else min(
-            (v for v in own_new), key=lambda v: t.depth[v]
-        )
-        lo_pre = pre[hang]
-        hi_pre = lo_pre + sizes[hang]
-        if not all(lo_pre <= pre[v] < hi_pre for v in own_new):
-            ok_subtree = False
-        # (iii) root depths non-decreasing
-        d = t.depth[piece.root]
-        if d < prev_depth:
-            ok_depths = False
-        prev_depth = d
-        # (v) size window against the running residual
-        r = dec.residuals[i]
-        quarter = r ** 0.25
-        lo = quarter if i == 0 else quarter + 1
-        hi = 3 * delta * quarter
-        if not (lo - 1e-9 <= piece.size <= hi + 1e-9):
-            ok_window = False
-    if covered != set(range(t.n)):
-        ok_cover = False
+    pre_np = np.array(pre)
+    end = np.empty(n + 1, dtype=np.int64)  # end[pre[v]] ends v's interval
+    end[pre_np] = pre_np + sizes
+    end[n] = n  # a piece that owns nothing passes
+    own_pre = pre_np[own_vertex]
+    lo = np.full(k, n)
+    np.minimum.at(lo, own_piece, own_pre)
+    hi = np.full(k, -1)
+    np.maximum.at(hi, own_piece, own_pre)
+    inside = hi < end[lo]
+    if k:
+        r = pieces[0].root  # piece 0 hangs from its root
+        inside[0] = pre[r] <= lo[0] and hi[0] < pre[r] + sizes[r]
+
+    # (iii) and (v) read one number per piece
+    depths = [t.depth[p.root] for p in pieces]
+    window = True
+    for i, piece in enumerate(pieces):
+        quarter = dec.residuals[i] ** 0.25
+        low = quarter if i == 0 else quarter + 1
+        if not (low - 1e-9 <= piece.size <= 3 * dec.delta * quarter + 1e-9):
+            window = False
     return {
-        "coverage": ok_cover,
-        "subtree_containment": ok_subtree,
-        "depths_nondecreasing": ok_depths,
-        "single_overlap": ok_overlap,
-        "size_window": ok_window,
+        "coverage": coverage,
+        "subtree_containment": bool(inside.all()),
+        "depths_nondecreasing": all(a <= b for a, b in zip(depths, depths[1:])),
+        "single_overlap": single_overlap,
+        "size_window": window,
     }
 
 
@@ -456,14 +522,14 @@ def split_trunk(t: RootedOrientedTree, threshold: int) -> TrunkSplit:
     candidates = [v for v in range(t.n) if size[v] >= threshold]
     t2 = min(candidates, key=lambda v: (-t.depth[v], v))
     branch_verts = t.subtree_vertices(t2)
-    branch = _extract_piece(t, branch_verts, t2)
+    branch = TreePiece._cut(t, tuple(branch_verts))
     if t2 == t.root:
         return TrunkSplit(trunk=None, branch=branch, attach=None,
                           branch_root=t2, degenerate=True)
     t1 = t.parent[t2]
     in_branch = set(branch_verts)
     trunk_verts = [v for v in t.bfs_order if v not in in_branch]
-    trunk = _extract_piece(t, trunk_verts, t.root)
+    trunk = TreePiece._cut(t, tuple(trunk_verts))
     return TrunkSplit(trunk=trunk, branch=branch, attach=t1,
                       branch_root=t2, degenerate=False)
 

@@ -278,6 +278,17 @@ def test_report_flags_an_oversized_piece():
     assert decomposition_invariant_report(t, bad) == loop_invariant_report(t, bad)
 
 
+def test_report_refuses_ids_outside_the_tree():
+    t, dec, verts = _base_decomposition()
+    for bad in (-1, t.n):
+        with pytest.raises(InputError):
+            decomposition_invariant_report(t, _with_pieces(dec, verts[:-1] + [verts[-1] + [bad]]))
+    for owner in (-1, len(verts)):
+        overlaps = dec.overlaps[:-1] + ((owner, dec.overlaps[-1][1]),)
+        with pytest.raises(InputError):
+            decomposition_invariant_report(t, dataclasses.replace(dec, overlaps=overlaps))
+
+
 def _corrupt(rng, t, dec):
     """dec with one random corruption of its pieces, overlaps or residuals."""
     verts = [list(p.vertices) for p in dec.pieces]
@@ -297,7 +308,7 @@ def _corrupt(rng, t, dec):
         verts[i], verts[j] = verts[j], verts[i]
     elif kind == 4 and i > 0:  # a wrong overlap owner or anchor
         w = int(rng.integers(t.n)) if rng.random() < 0.5 else overlaps[i][1]
-        overlaps[i] = (int(rng.integers(-k, k)), w)
+        overlaps[i] = (int(rng.integers(k)), w)
     elif kind == 5:  # a wrong residual
         residuals[i] = int(rng.integers(0, 4 * dec.n0))
     elif kind == 6:  # a vertex shared with another piece
@@ -368,6 +379,16 @@ def test_pieces_match_validating_constructor():
             assert piece.root == piece.vertices[0]
             checked += 1
     assert checked > 1000
+
+
+def test_pieces_build_their_tree_on_first_read():
+    t = random_tree(np.random.default_rng(28), 500, max_deg=8)
+    split = split_trunk(t, 40)
+    pieces = [*quarter_decomposition(t, 500).pieces, *tree_partition(t, 20),
+              split.branch, split.trunk]
+    assert all(p._tree is None for p in pieces)
+    for p in pieces:
+        assert p.tree is p.tree and p.tree.n == p.size
 
 
 def test_bfs_constructor_rejects_other_orders():
