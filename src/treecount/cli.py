@@ -25,6 +25,7 @@ from .counting import (
 )
 from .errors import InputError, ProcedureError
 from .graphs import Digraph, Graph, double_orient, parse_graph_text
+from .jsontext import dumps as _json
 from .matching import matching_entropy, max_entropy_matching, normality
 from .pipeline import run_pipeline, trace_to_json
 from .randtree import batch_to_csv, mixing_check, sample_trees_batch, split_samples
@@ -52,10 +53,6 @@ def _emit(args, payload: str, default_name: str) -> None:
     out = args.out or default_name
     Path(out).write_text(payload)
     print(f"wrote {out}")
-
-
-def _json(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 def cmd_entropy(args) -> int:
@@ -160,7 +157,7 @@ def cmd_decompose(args) -> int:
             {
                 "root": p.root,
                 "size": p.size,
-                "vertices": list(p.vertices),
+                "vertices": p.vertices,
                 "overlap": list(dec.overlaps[i]) if dec.overlaps[i] else None,
             }
             for i, p in enumerate(dec.pieces)

@@ -9,13 +9,13 @@ Every stage's matching quality and retry count is recorded in a trace.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Optional
 
 from .counting import _embeddings
 from .errors import InputError, ProcedureError
 from .graphs import Digraph, epsilon_of, induced_subgraph
+from .jsontext import dumps
 from .matching import (
     PerfectFractionalMatching,
     matching_entropy,
@@ -340,4 +340,4 @@ def trace_to_json(trace: PipelineTrace) -> str:
             for s in trace.stages
         ],
     }
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    return dumps(payload)
