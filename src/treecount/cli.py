@@ -8,6 +8,7 @@ a single JSON or CSV artifact, and prints a one-line summary.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -249,14 +250,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # parse_args leaves a parser as it was, so one serves every call
+    return build_parser()
+
+
 def _plain(value):
     """JSON fallback for diagnostics: numpy scalars as numbers, else text."""
     return value.item() if hasattr(value, "item") else str(value)
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (InputError, OSError) as exc:

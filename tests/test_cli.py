@@ -120,6 +120,26 @@ def test_unread_flags_rejected(argv, capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+def test_rejected_argv_leaves_the_parser_as_it_was(tmp_path, path5_file, capsys):
+    # main builds its parser once per process and reuses it
+    outs = [tmp_path / "a.json", tmp_path / "b.json"]
+    argv = ["decompose", path5_file, "--n0", "7", "--out"]
+    assert main(argv + [str(outs[0])]) == 0
+    for bad in (["decompose", path5_file, "--n0", "x"], ["decompose"],
+                ["decompose", path5_file, "--format", "csv"], ["nosuch"]):
+        with pytest.raises(SystemExit) as exc:
+            main(bad)
+        assert exc.value.code == 2
+    assert main(argv + [str(outs[1])]) == 0
+    assert outs[0].read_text() == outs[1].read_text()
+    assert json.loads(outs[1].read_text())["n0"] == 7
+    # a call without --n0 gets the default again, not the last value
+    assert main(["decompose", path5_file, "--out", str(outs[1])]) == 0
+    assert json.loads(outs[1].read_text())["n0"] == 5
+    err = capsys.readouterr().err
+    assert err.count("usage: treecount") == 4 and "invalid int value: 'x'" in err
+
+
 def test_count_oversized_tree_exit_2(tmp_path, path5_file):
     g = tmp_path / "k3.txt"
     g.write_text(write_graph_text(complete_digraph(3)))
