@@ -576,6 +576,7 @@ def rebalance_after_removal(
     attach_in: Optional[Sequence[int]] = None,
     tol: float = ROWSUM_TOL,
     max_passes: int = 500,
+    entropy: Optional[float] = None,
 ) -> RebalanceResult:
     """Rebuild a matching after deleting vertices, optionally attaching a
     fresh vertex whose neighborhoods are given in surviving (old) ids.
@@ -584,6 +585,8 @@ def rebalance_after_removal(
     arcs, everything is rescaled to total n', and residual unit-sum
     deviations are pushed along length-2 paths (out- and in-side repairs
     are independent because each preserves the other side's sums).
+    ``entropy`` is ``matching_entropy(x)`` if the caller holds it already;
+    the entropy target is computed from it.
     """
     g = x.host
     removed = set(removed)
@@ -597,9 +600,11 @@ def rebalance_after_removal(
         raise InputError("cannot remove every vertex")
     relabel = {old: new for new, old in enumerate(keep)}
     attach = attach_out is not None
+    if entropy is None:
+        entropy = matching_entropy(x)
     if not removed and not attach:
         rep = RebalanceReport(
-            entropy=matching_entropy(x), target=matching_entropy(x),
+            entropy=entropy, target=entropy,
             slack=0.0, meets_target=True, passes=0,
         )
         return RebalanceResult(matching=x, vertex_map=relabel,
@@ -639,7 +644,7 @@ def rebalance_after_removal(
     p2 = _redistribute_rows(w.T, mask.T, tol, max_passes)
     out = PFM(host, w, tol=2 * tol)
     h_new = matching_entropy(out)
-    target = (kept / g.n) * matching_entropy(x) - kept * math.log2(g.n / kept)
+    target = (kept / g.n) * entropy - kept * math.log2(g.n / kept)
     rep = RebalanceReport(
         entropy=h_new, target=target, slack=h_new - target,
         meets_target=h_new >= target - 1e-9, passes=p1 + p2,

@@ -264,6 +264,7 @@ def run_pipeline(
                 removed_cur,
                 attach_out=[orig_to_cur[v] for v in attach_out],
                 attach_in=[orig_to_cur[v] for v in attach_in],
+                entropy=cur_h,
             )
             cur_g = res.matching.host
             cur_x = res.matching

@@ -388,6 +388,11 @@ def test_rebalance_random_dense():
     assert np.abs(z.weights.sum(axis=1) - 1).max() <= 1e-9
     assert np.abs(z.weights.sum(axis=0) - 1).max() <= 1e-9
     assert math.isfinite(res.report.slack)
+    # a caller that holds the input's entropy gets the same report
+    given = rebalance_after_removal(x, removed, attach_out=a_out, attach_in=a_in,
+                                    entropy=matching_entropy(x))
+    assert given.report == res.report
+    assert np.array_equal(given.matching.weights, z.weights)
 
 
 def test_rebalanced_host_is_the_induced_host():
