@@ -254,7 +254,7 @@ def _extract_piece(
     if augment_parent is not None:
         verts.insert(0, augment_parent)
     piece = TreePiece._cut(t, tuple(verts))
-    piece.tree  # noqa: B018 - refuse a non-BFS order here, not on first read
+    piece.tree  # built now, so a non-BFS order is refused here
     return piece
 
 
