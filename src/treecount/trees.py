@@ -235,25 +235,19 @@ class TreePiece:
 
 
 def _extract_piece(
-    t: RootedOrientedTree,
-    piece_vertices: Sequence[int],
-    piece_root: int,
-    augment_parent: Optional[int] = None,
+    t: RootedOrientedTree, piece_vertices: Sequence[int], piece_root: int
 ) -> TreePiece:
-    """Build a TreePiece from original-id vertices; optionally prepend the
-    piece root's parent as the new root (keeping the original edge flag).
+    """Build a TreePiece from original-id vertices.
 
     piece_vertices must be the piece in BFS order of t, starting at
     piece_root.  The positions become the local ids, and the piece tree is
     built at once by ``RootedOrientedTree._from_bfs``, which raises
     InputError for any other order.
     """
-    verts = list(piece_vertices)
+    verts = tuple(piece_vertices)
     if not verts or verts[0] != piece_root:
         raise InputError("piece vertices must start at the piece root")
-    if augment_parent is not None:
-        verts.insert(0, augment_parent)
-    piece = TreePiece._cut(t, tuple(verts))
+    piece = TreePiece._cut(t, verts)
     piece.tree  # built now, so a non-BFS order is refused here
     return piece
 
