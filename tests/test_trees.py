@@ -3,7 +3,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
-from collections import namedtuple
+from collections import deque, namedtuple
 
 import numpy as np
 import pytest
@@ -16,6 +16,7 @@ from treecount.trees import (
     AsymptoticParams,
     RootedOrientedTree,
     _extract_piece,
+    _reroot,
     automorphism_count,
     decomposition_invariant_report,
     parse_tree_text,
@@ -412,6 +413,55 @@ def test_bfs_constructor_rejects_other_orders():
         _extract_piece(p, [1, 0], 0)
     with pytest.raises(InputError):
         _extract_piece(p, [1, 3], 1)  # 3 hangs from 2, outside the piece
+
+
+def bfs_reroot(t, new_root):
+    """The adjacency-list reroot that _reroot replaced, kept as its
+    reference: a BFS from new_root over both directions of every edge."""
+    adj = [[] for _ in range(t.n)]
+    for v in range(t.n):
+        if v == t.root:
+            continue
+        p = t.parent[v]
+        d = t.edge_dir[v]
+        adj[p].append((v, d))
+        adj[v].append((p, DOWN if d == UP else UP))
+    parent = [-1] * t.n
+    edge_dir = [None] * t.n
+    seen = [False] * t.n
+    seen[new_root] = True
+    queue = deque([new_root])
+    while queue:
+        u = queue.popleft()
+        for w, d in adj[u]:
+            if not seen[w]:
+                seen[w] = True
+                parent[w] = u
+                edge_dir[w] = d
+                queue.append(w)
+    return RootedOrientedTree(parent, edge_dir)
+
+
+def _assert_same_tree(a, b):
+    for slot in RootedOrientedTree.__slots__:
+        assert getattr(a, slot) == getattr(b, slot), slot
+
+
+def test_reroot_matches_bfs_reference():
+    rng = np.random.default_rng(29)
+    for _ in range(60):
+        t = random_tree(rng, int(rng.integers(1, 301)), max_deg=int(rng.integers(3, 9)))
+        for r in {t.root, *(int(v) for v in rng.integers(0, t.n, 4))}:
+            _assert_same_tree(_reroot(t, r), bfs_reroot(t, r))
+    for n in range(1, 9):
+        for _ in range(6):
+            t = random_tree(rng, n, max_deg=4)
+            for r in range(n):
+                _assert_same_tree(_reroot(t, r), bfs_reroot(t, r))
+    # a 5000-level path, deeper than the interpreter's recursion limit
+    p = path_tree(5000, [DOWN if v % 3 else UP for v in range(4999)])
+    for r in (0, 1, 2500, 4999):
+        _assert_same_tree(_reroot(p, r), bfs_reroot(p, r))
 
 
 def test_automorphism_examples():
