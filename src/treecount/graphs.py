@@ -259,12 +259,13 @@ def parse_graph_text(text: str) -> Digraph | Graph:
     if n < 0 or m < 0:
         raise ParseError(1, "negative vertex/edge count")
     directed = head[0] == "digraph"
-    body = [ln for ln in lines[1:] if ln.strip()]
+    # (1-based line number, line) for each non-blank line after the header
+    body = [(i, ln) for i, ln in enumerate(lines[1:], start=2) if ln.strip()]
     if len(body) != m:
         raise ParseError(len(lines), f"expected {m} edge lines, found {len(body)}")
     seen = set()
     edges = []
-    for idx, ln in enumerate(body, start=2):
+    for idx, ln in body:
         parts = ln.split()
         if len(parts) != 2:
             raise ParseError(idx, "expected '<u> <v>'")

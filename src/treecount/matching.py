@@ -716,13 +716,14 @@ def parse_pfm_text(text: str) -> PFM:
         n, m = int(head[1]), int(head[2])
     except ValueError:
         raise ParseError(1, "non-integer vertex/arc count") from None
-    body = [ln for ln in lines[1:] if ln.strip()]
+    # (1-based line number, line) for each non-blank line after the header
+    body = [(i, ln) for i, ln in enumerate(lines[1:], start=2) if ln.strip()]
     if len(body) != m:
         raise ParseError(len(lines), f"expected {m} arc lines, found {len(body)}")
     w = np.zeros((n, n))
     arcs = []
     seen = set()
-    for idx, ln in enumerate(body, start=2):
+    for idx, ln in body:
         parts = ln.split()
         if len(parts) != 3:
             raise ParseError(idx, "expected '<u> <v> <weight>'")

@@ -672,12 +672,13 @@ def parse_tree_text(text: str) -> RootedOrientedTree:
         raise ParseError(1, "non-integer count/root") from None
     if not (0 <= root < n):
         raise ParseError(1, "root out of range")
-    body = [ln for ln in lines[1:] if ln.strip()]
+    # (1-based line number, line) for each non-blank line after the header
+    body = [(i, ln) for i, ln in enumerate(lines[1:], start=2) if ln.strip()]
     if len(body) != n - 1:
         raise ParseError(len(lines), f"expected {n - 1} edge lines, found {len(body)}")
     parent = [-1] * n
     edge_dir: list[Optional[str]] = [None] * n
-    for idx, ln in enumerate(body, start=2):
+    for idx, ln in body:
         parts = ln.split()
         if len(parts) != 3:
             raise ParseError(idx, "expected '<child> <parent> <dir>'")

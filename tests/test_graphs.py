@@ -102,6 +102,12 @@ def test_parse_errors_carry_line_numbers():
     assert "duplicate" in str(exc.value)
 
 
+def test_parse_errors_count_blank_lines():
+    with pytest.raises(ParseError) as exc:
+        parse_graph_text("digraph 3 2\n0 1\n\n\n0 1\n")
+    assert str(exc.value) == "line 5: duplicate edge 0 1"
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.integers(3, 12), st.integers(0, 10 ** 6))
 def test_roundtrip_random(n, seed):

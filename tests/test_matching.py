@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from helpers import random_dense_digraph
-from treecount.errors import InputError, ProcedureError
+from treecount.errors import InputError, ParseError, ProcedureError
 from treecount.graphs import (
     Digraph,
     complete_digraph,
@@ -491,6 +491,12 @@ def test_pfm_rejects_weights_that_are_not_finite(bad):
             PerfectFractionalMatching(g, w, tol=tol)
     with pytest.raises(InputError, match="finite"):
         parse_pfm_text(f"pfm 2 2\n0 1 {bad}\n1 0 1\n")
+
+
+def test_pfm_parse_errors_count_blank_lines():
+    with pytest.raises(ParseError) as exc:
+        parse_pfm_text("pfm 2 2\n0 1 1\n\n\n1 0 -1\n")
+    assert str(exc.value) == "line 5: negative weight"
 
 
 # ---------------------------------------------------------------------------

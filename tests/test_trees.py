@@ -543,3 +543,9 @@ def test_tree_parse_errors():
     with pytest.raises(ParseError) as exc:
         parse_tree_text("tree 3 0\n1 0 down\n1 2 up\n")
     assert "two parents" in str(exc.value)
+
+
+def test_tree_parse_errors_count_blank_lines():
+    with pytest.raises(ParseError) as exc:
+        parse_tree_text("tree 3 0\n\n\n1 0 down\n1 2 up\n")
+    assert str(exc.value) == "line 5: vertex 1 has two parents"
