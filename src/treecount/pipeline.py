@@ -118,8 +118,8 @@ def run_pipeline(
     )
 
     spanning = t.n == n
-    branch: Optional[TreePiece] = None
-    attach_vertex: Optional[int] = None
+    # the reserved branch hung from its attach vertex, placed last
+    completion: Optional[TreePiece] = None
     if spanning:
         threshold = trunk_threshold or min(DEFAULT_TRUNK_THRESHOLD, t.n)
         split = split_trunk(t, threshold)
@@ -135,19 +135,18 @@ def run_pipeline(
                 notes=tuple(notes + ["degenerate split: direct placement"]),
                 spanning=True, trunk_threshold=threshold,
             )
-        trunk_piece = split.trunk
-        branch = split.branch
-        attach_vertex = split.attach
+        # trunk_ids[trunk vertex] = tree vertex
+        trunk, trunk_ids = split.trunk.tree, split.trunk.vertices
+        completion = TreePiece(t, (split.attach, *split.branch.vertices))
     else:
         threshold = None
-        trunk_piece = TreePiece(tree=t, vertices=tuple(range(t.n)), root=t.root)
+        trunk, trunk_ids = t, range(t.n)
         if t.n > 0.9 * n:
             notes.append(
                 "tree covers more than 90% of the host without being "
                 "spanning; no absorption step is taken"
             )
 
-    trunk = trunk_piece.tree
     dec = quarter_decomposition(trunk, n0=n)
 
     mapping: dict[int, int] = {}           # tree-vertex (original) -> host id
@@ -160,7 +159,7 @@ def run_pipeline(
     method = "scaling"
 
     def to_tree_id(piece_local: int, piece: TreePiece) -> int:
-        return trunk_piece.vertices[piece.vertices[piece_local]]
+        return trunk_ids[piece.vertices[piece_local]]
 
     def partial_trace() -> PipelineTrace:
         return PipelineTrace(
@@ -278,35 +277,21 @@ def run_pipeline(
             method = "scaling"
         cur_to_orig = survivors + [anchor_orig]
 
-    if spanning and branch is not None:
+    if completion is not None:
         leftover = [v for v in range(n) if v not in used_host]
-        attach_img = mapping[attach_vertex]
-        sub_verts = leftover + [attach_img]
-        sub, relabel = induced_subgraph(g, sub_verts)
-        # root the completion at the attach image, branch hanging below it
-        b_tree = branch.tree
-        aug_parent = [-1] + [
-            (b_tree.parent[v] + 1 if v != b_tree.root else 0)
-            for v in range(b_tree.n)
-        ]
-        aug_dir = [None] + [
-            (b_tree.edge_dir[v] if v != b_tree.root
-             else t.edge_dir[branch.root])
-            for v in range(b_tree.n)
-        ]
-        aug = RootedOrientedTree(aug_parent, aug_dir)
-        image = next(_embeddings(sub, aug, [relabel[attach_img]]), None)
+        attach_img = mapping[completion.root]
+        sub, relabel = induced_subgraph(g, leftover + [attach_img])
+        # root the completion at the attach image, branch hanging below it;
+        # the completion tree's BFS order is its local ids 0..k-1
+        image = next(_embeddings(sub, completion.tree, [relabel[attach_img]]), None)
         if image is None:
             raise ProcedureError(
                 "no completion embedding for the reserved branch",
                 trace=partial_trace(),
             )
         inv = {new: orig for orig, new in relabel.items()}
-        for bfs_i, aug_v in enumerate(aug.bfs_order):
-            if aug_v == 0:
-                continue
-            tree_id = branch.vertices[aug_v - 1]
-            mapping[tree_id] = inv[image[bfs_i]]
+        for tree_id, host_cur in zip(completion.vertices[1:], image[1:]):
+            mapping[tree_id] = inv[host_cur]
     if not validate_embedding(g, t, mapping):
         raise ProcedureError(
             "assembled map failed replay validation", trace=partial_trace()

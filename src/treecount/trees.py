@@ -38,35 +38,36 @@ class RootedOrientedTree:
             raise InputError("tree must have at least one vertex")
         if len(edge_dir) != n:
             raise InputError("edge_dir length mismatch")
-        roots = [v for v in range(n) if parent[v] == -1]
+        roots = []
+        # the first fault in vertex order, raised once the root count is known
+        fault = None
+        children: list[list[int]] = [[] for _ in range(n)]
+        for v, p, d in zip(range(n), parent, edge_dir):
+            if p == -1:
+                roots.append(v)
+                if d is not None:
+                    fault = fault or "root must have edge_dir None"
+            elif not 0 <= p < n:
+                fault = fault or f"parent of {v} out of range"
+            elif d not in (UP, DOWN):
+                fault = fault or f"bad edge direction for vertex {v}: {d}"
+            else:
+                children[p].append(v)  # ascending v keeps every child list sorted
         if len(roots) != 1:
             raise InputError(f"expected exactly one root, found {len(roots)}")
+        if fault:
+            raise InputError(fault)
+        # BFS from the root; every vertex has one parent, so none is reached
+        # twice, and the walk reaches all n exactly when there is no cycle
         root = roots[0]
-        children: list[list[int]] = [[] for _ in range(n)]
-        for v in range(n):
-            if v == root:
-                if edge_dir[v] is not None:
-                    raise InputError("root must have edge_dir None")
-                continue
-            p = parent[v]
-            if not (0 <= p < n):
-                raise InputError(f"parent of {v} out of range")
-            if edge_dir[v] not in (UP, DOWN):
-                raise InputError(f"bad edge direction for vertex {v}: {edge_dir[v]}")
-            children[p].append(v)  # ascending v keeps every child list sorted
-        # validate acyclicity / connectivity via BFS from the root
         order = [root]
         depth = [0] * n
-        queue = deque([root])
-        seen = 1
-        while queue:
-            v = queue.popleft()
+        for v in order:
+            below = depth[v] + 1
             for c in children[v]:
-                depth[c] = depth[v] + 1
-                order.append(c)
-                queue.append(c)
-                seen += 1
-        if seen != n:
+                depth[c] = below
+            order.extend(children[v])
+        if len(order) != n:
             raise InputError("parent array does not describe a connected tree")
         self.n = n
         self.root = root
@@ -75,43 +76,6 @@ class RootedOrientedTree:
         self.children = tuple(map(tuple, children))
         self.bfs_order = tuple(order)
         self.depth = tuple(depth)
-
-    @classmethod
-    def _from_bfs(
-        cls, parent: Sequence[int], edge_dir: Sequence[Optional[str]]
-    ) -> "RootedOrientedTree":
-        """Build a tree whose vertex ids already are its BFS order.
-
-        Precondition: vertex 0 is the root (parent -1, edge_dir None) and
-        parent[i - 1] <= parent[i] < i for every i >= 1, with parent[1] == 0.
-        Then the BFS order with children by increasing id is 0..n-1, so the
-        root scan and BFS of ``__init__`` are skipped.  The precondition
-        itself is checked in O(n); anything else raises InputError.
-        """
-        n = len(parent)
-        if n == 0 or len(edge_dir) != n or parent[0] != -1 or edge_dir[0] is not None:
-            raise InputError("BFS-order tree needs vertex 0 as its root")
-        children: list[list[int]] = [[] for _ in range(n)]
-        depth = [0] * n
-        prev = 0
-        for v in range(1, n):
-            p = parent[v]
-            if not (prev <= p < v):
-                raise InputError(f"parent array is not in BFS order at vertex {v}")
-            if edge_dir[v] not in (UP, DOWN):
-                raise InputError(f"bad edge direction for vertex {v}: {edge_dir[v]}")
-            children[p].append(v)
-            depth[v] = depth[p] + 1
-            prev = p
-        self = cls.__new__(cls)
-        self.n = n
-        self.root = 0
-        self.parent = tuple(parent)
-        self.edge_dir = tuple(edge_dir)
-        self.children = tuple(map(tuple, children))
-        self.bfs_order = tuple(range(n))
-        self.depth = tuple(depth)
-        return self
 
     @property
     def m(self) -> int:
@@ -159,10 +123,6 @@ class RootedOrientedTree:
         return f"RootedOrientedTree(n={self.n}, root={self.root})"
 
 
-def bfs_order(t: RootedOrientedTree) -> tuple[int, ...]:
-    return t.bfs_order
-
-
 def path_tree(n: int, dirs: Optional[Sequence[str]] = None) -> RootedOrientedTree:
     """Path 0-1-...-(n-1) rooted at 0; dirs gives the n-1 edge orientations."""
     if dirs is None:
@@ -181,39 +141,24 @@ def star_tree(leaves: int, dirs: Optional[Sequence[str]] = None) -> RootedOrient
 
 
 class TreePiece:
-    """A rooted subtree of a host tree.
+    """A rooted subtree of a source tree.
 
-    ``vertices[local] = original id``, listed in BFS order of the host tree
-    from the piece root; ``root`` is the original id of the piece root,
-    ``vertices[0]``.  ``tree`` is the piece with local ids 0..k-1.  A piece
-    cut from a host tree builds it on first read and caches it, so a caller
-    that only needs ``vertices``, ``root`` and ``size`` never pays for it.
+    ``vertices[local] = original id``, listed in BFS order of the source
+    tree from the piece root, with the piece root's parent prepended if the
+    piece is augmented; ``root`` is ``vertices[0]``.  ``tree`` is the piece
+    with local ids 0..k-1.  It is built on first read and cached, so a
+    caller that only needs ``vertices``, ``root`` and ``size`` never pays
+    for it.  Reading it raises InputError unless the vertices are a
+    connected piece listed in BFS order.
     """
 
     __slots__ = ("vertices", "root", "_source", "_tree")
 
-    def __init__(self, tree: RootedOrientedTree, vertices: Sequence[int], root: int):
+    def __init__(self, source: RootedOrientedTree, vertices: Sequence[int]):
         self.vertices = tuple(vertices)
-        self.root = root
-        self._source = None
-        self._tree = tree
-
-    @classmethod
-    def _cut(cls, source: RootedOrientedTree, vertices: tuple[int, ...]) -> "TreePiece":
-        """The piece of ``source`` on ``vertices``, its tree not yet built.
-
-        Trusted: the caller lists the vertices in BFS order of ``source``
-        from the piece root, with the piece root's parent prepended if the
-        piece is augmented; BFS walks (``_greedy_cut``, ``_bfs_of``,
-        ``subtree_vertices``) and filtered ``bfs_order`` lists are.
-        ``tree`` raises InputError on first read for any other order.
-        """
-        self = cls.__new__(cls)
-        self.vertices = vertices
-        self.root = vertices[0]
+        self.root = self.vertices[0]
         self._source = source
         self._tree = None
-        return self
 
     @property
     def size(self) -> int:
@@ -224,32 +169,17 @@ class TreePiece:
         if self._tree is None:
             t, verts = self._source, self.vertices
             local = {orig: i for i, orig in enumerate(verts)}
-            # a parent outside the piece maps to -1, which _from_bfs refuses
+            # a parent outside the piece maps to -1, a second root
             parent = [-1] + [local.get(t.parent[v], -1) for v in verts[1:]]
             edge_dir = [None] + [t.edge_dir[v] for v in verts[1:]]
-            self._tree = RootedOrientedTree._from_bfs(parent, edge_dir)
+            tree = RootedOrientedTree(parent, edge_dir)
+            if tree.bfs_order != tuple(range(tree.n)):
+                raise InputError("piece vertices are not in BFS order")
+            self._tree = tree
         return self._tree
 
     def __repr__(self) -> str:
         return f"TreePiece(size={self.size}, root={self.root})"
-
-
-def _extract_piece(
-    t: RootedOrientedTree, piece_vertices: Sequence[int], piece_root: int
-) -> TreePiece:
-    """Build a TreePiece from original-id vertices.
-
-    piece_vertices must be the piece in BFS order of t, starting at
-    piece_root.  The positions become the local ids, and the piece tree is
-    built at once by ``RootedOrientedTree._from_bfs``, which raises
-    InputError for any other order.
-    """
-    verts = tuple(piece_vertices)
-    if not verts or verts[0] != piece_root:
-        raise InputError("piece vertices must start at the piece root")
-    piece = TreePiece._cut(t, verts)
-    piece.tree  # built now, so a non-BFS order is refused here
-    return piece
 
 
 def _greedy_cut(
@@ -310,7 +240,7 @@ def tree_partition(t: RootedOrientedTree, size_floor: int) -> list[TreePiece]:
     if size_floor > t.n:
         raise InputError(f"size_floor {size_floor} exceeds tree size {t.n}")
     pieces = _greedy_cut(t, lambda _: size_floor)
-    return [TreePiece._cut(t, tuple(verts)) for _, verts in reversed(pieces)]
+    return [TreePiece(t, verts) for _, verts in reversed(pieces)]
 
 
 def _bfs_of(t: RootedOrientedTree, verts: Iterable[int], root: int) -> list[int]:
@@ -381,11 +311,11 @@ def quarter_decomposition(t: RootedOrientedTree, n0: int) -> TreeDecomposition:
     cum = 0
     for idx, (root, verts) in enumerate(ordered):
         if idx == 0:
-            piece = TreePiece._cut(t, tuple(verts))
+            piece = TreePiece(t, verts)
             overlaps.append(None)
         else:
             w = t.parent[root]
-            piece = TreePiece._cut(t, (w, *verts))
+            piece = TreePiece(t, (w, *verts))
             overlaps.append((placed[w], w))
         for u in verts:
             placed[u] = idx
@@ -516,14 +446,14 @@ def split_trunk(t: RootedOrientedTree, threshold: int) -> TrunkSplit:
     candidates = [v for v in range(t.n) if size[v] >= threshold]
     t2 = min(candidates, key=lambda v: (-t.depth[v], v))
     branch_verts = t.subtree_vertices(t2)
-    branch = TreePiece._cut(t, tuple(branch_verts))
+    branch = TreePiece(t, branch_verts)
     if t2 == t.root:
         return TrunkSplit(trunk=None, branch=branch, attach=None,
                           branch_root=t2, degenerate=True)
     t1 = t.parent[t2]
     in_branch = set(branch_verts)
     trunk_verts = [v for v in t.bfs_order if v not in in_branch]
-    trunk = TreePiece._cut(t, tuple(trunk_verts))
+    trunk = TreePiece(t, trunk_verts)
     return TrunkSplit(trunk=trunk, branch=branch, attach=t1,
                       branch_root=t2, degenerate=False)
 
@@ -573,28 +503,19 @@ def _centroids(t: RootedOrientedTree) -> list[int]:
 
 
 def _reroot(t: RootedOrientedTree, new_root: int) -> RootedOrientedTree:
-    """Same underlying oriented tree, rooted elsewhere."""
-    adj: list[list[tuple[int, str]]] = [[] for _ in range(t.n)]
-    for v in range(t.n):
-        if v == t.root:
-            continue
-        p = t.parent[v]
-        d = t.edge_dir[v]
-        adj[p].append((v, d))
-        adj[v].append((p, DOWN if d == UP else UP))
-    parent = [-1] * t.n
-    edge_dir: list[Optional[str]] = [None] * t.n
-    seen = [False] * t.n
-    seen[new_root] = True
-    queue = deque([new_root])
-    while queue:
-        u = queue.popleft()
-        for w, d in adj[u]:
-            if not seen[w]:
-                seen[w] = True
-                parent[w] = u
-                edge_dir[w] = d
-                queue.append(w)
+    """Same underlying oriented tree, rooted elsewhere.
+
+    Only the edges on the path from new_root up to the old root change:
+    each of them now hangs its old parent below its old child, so its
+    pointer and its direction flip.
+    """
+    parent, edge_dir = list(t.parent), list(t.edge_dir)
+    above, d = -1, None  # the new parent of v and the direction to it
+    v = new_root
+    while v != -1:
+        parent[v], edge_dir[v] = above, d
+        above, d = v, (UP if t.edge_dir[v] == DOWN else DOWN)
+        v = t.parent[v]
     return RootedOrientedTree(parent, edge_dir)
 
 
@@ -619,10 +540,10 @@ def automorphism_count(
     half2_verts = r1.subtree_vertices(c2)
     in_half2 = set(half2_verts)
     half1_verts = [v for v in r1.bfs_order if v not in in_half2]
-    p1 = _extract_piece(r1, half1_verts, c1)
-    p2 = _extract_piece(r1, half2_verts, c2)
-    code1, a1 = _rooted_code_and_aut(p1.tree, respect_orientation, codes)
-    code2, a2 = _rooted_code_and_aut(p2.tree, respect_orientation, codes)
+    half1 = TreePiece(r1, half1_verts).tree
+    half2 = TreePiece(r1, half2_verts).tree
+    code1, a1 = _rooted_code_and_aut(half1, respect_orientation, codes)
+    code2, a2 = _rooted_code_and_aut(half2, respect_orientation, codes)
     total = a1 * a2
     # a swap of the centroids reverses the centroid edge, so it can only
     # be an automorphism when orientations are ignored

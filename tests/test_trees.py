@@ -15,7 +15,7 @@ from treecount.trees import (
     UP,
     AsymptoticParams,
     RootedOrientedTree,
-    _extract_piece,
+    TreePiece,
     _reroot,
     automorphism_count,
     decomposition_invariant_report,
@@ -393,26 +393,22 @@ def test_pieces_build_their_tree_on_first_read():
 
 
 def test_bfs_constructor_rejects_other_orders():
-    t = RootedOrientedTree._from_bfs([-1, 0, 0, 1], [None, DOWN, UP, DOWN])
+    t = RootedOrientedTree([-1, 0, 0, 1], [None, DOWN, UP, DOWN])
     assert t.children == ((1, 2), (3,), (), ()) and t.depth == (0, 1, 1, 2)
-    bad = [
-        ([-1, 0, 1, 0], [None, DOWN, DOWN, DOWN]),  # parents decrease
-        ([-1, 2, 0], [None, DOWN, DOWN]),           # valid tree, not BFS
-        ([0, -1], [DOWN, None]),                    # root not first
-        ([-1, 0], [None, "sideways"]),
-        ([], []),
-    ]
-    for parent, dirs in bad:
+    for parent, dirs in [([-1, 0], [None, "sideways"]), ([], [])]:
         with pytest.raises(InputError):
-            RootedOrientedTree._from_bfs(parent, dirs)
-    # the same holds for pieces whose vertices are not listed in BFS order
+            RootedOrientedTree(parent, dirs)
+    # a piece's tree is refused unless its vertices are listed in BFS order
     p = path_tree(4)
-    with pytest.raises(InputError):
-        _extract_piece(p, [0, 2, 1], 0)
-    with pytest.raises(InputError):
-        _extract_piece(p, [1, 0], 0)
-    with pytest.raises(InputError):
-        _extract_piece(p, [1, 3], 1)  # 3 hangs from 2, outside the piece
+    bad = [
+        (t, [0, 1, 3, 2]),  # local parents [-1, 0, 1, 0] decrease
+        (p, [0, 2, 1]),     # local parents [-1, 2, 0]: a valid tree, not BFS
+        (p, [1, 0]),        # root not first
+        (p, [1, 3]),        # 3 hangs from 2, outside the piece
+    ]
+    for source, verts in bad:
+        with pytest.raises(InputError):
+            TreePiece(source, verts).tree
 
 
 def bfs_reroot(t, new_root):
