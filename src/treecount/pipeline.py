@@ -283,7 +283,9 @@ def run_pipeline(
         sub, relabel = induced_subgraph(g, leftover + [attach_img])
         # root the completion at the attach image, branch hanging below it;
         # the completion tree's BFS order is its local ids 0..k-1
-        image = next(_embeddings(sub, completion.tree, [relabel[attach_img]]), None)
+        image = next(
+            _embeddings(sub, completion.tree, [relabel[attach_img]]), None
+        )
         if image is None:
             raise ProcedureError(
                 "no completion embedding for the reserved branch",
