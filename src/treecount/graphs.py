@@ -259,14 +259,16 @@ def parse_graph_text(text: str) -> Digraph | Graph:
     if n < 0 or m < 0:
         raise ParseError(1, "negative vertex/edge count")
     directed = head[0] == "digraph"
-    # (1-based line number, line) for each non-blank line after the header
-    body = [(i, ln) for i, ln in enumerate(lines[1:], start=2) if ln.strip()]
-    if len(body) != m:
-        raise ParseError(len(lines), f"expected {m} edge lines, found {len(body)}")
+    found = sum(1 for ln in lines[1:] if ln.strip())  # blank lines do not count
+    if found != m:
+        raise ParseError(len(lines), f"expected {m} edge lines, found {found}")
     seen = set()
     edges = []
-    for idx, ln in body:
+    # idx is the file's own 1-based line number, blank lines included
+    for idx, ln in enumerate(lines[1:], start=2):
         parts = ln.split()
+        if not parts:
+            continue
         if len(parts) != 2:
             raise ParseError(idx, "expected '<u> <v>'")
         try:

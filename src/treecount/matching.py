@@ -716,15 +716,17 @@ def parse_pfm_text(text: str) -> PFM:
         n, m = int(head[1]), int(head[2])
     except ValueError:
         raise ParseError(1, "non-integer vertex/arc count") from None
-    # (1-based line number, line) for each non-blank line after the header
-    body = [(i, ln) for i, ln in enumerate(lines[1:], start=2) if ln.strip()]
-    if len(body) != m:
-        raise ParseError(len(lines), f"expected {m} arc lines, found {len(body)}")
+    found = sum(1 for ln in lines[1:] if ln.strip())  # blank lines do not count
+    if found != m:
+        raise ParseError(len(lines), f"expected {m} arc lines, found {found}")
     w = np.zeros((n, n))
     arcs = []
     seen = set()
-    for idx, ln in body:
+    # idx is the file's own 1-based line number, blank lines included
+    for idx, ln in enumerate(lines[1:], start=2):
         parts = ln.split()
+        if not parts:
+            continue
         if len(parts) != 3:
             raise ParseError(idx, "expected '<u> <v> <weight>'")
         try:

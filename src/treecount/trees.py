@@ -593,14 +593,16 @@ def parse_tree_text(text: str) -> RootedOrientedTree:
         raise ParseError(1, "non-integer count/root") from None
     if not (0 <= root < n):
         raise ParseError(1, "root out of range")
-    # (1-based line number, line) for each non-blank line after the header
-    body = [(i, ln) for i, ln in enumerate(lines[1:], start=2) if ln.strip()]
-    if len(body) != n - 1:
-        raise ParseError(len(lines), f"expected {n - 1} edge lines, found {len(body)}")
+    found = sum(1 for ln in lines[1:] if ln.strip())  # blank lines do not count
+    if found != n - 1:
+        raise ParseError(len(lines), f"expected {n - 1} edge lines, found {found}")
     parent = [-1] * n
     edge_dir: list[Optional[str]] = [None] * n
-    for idx, ln in body:
+    # idx is the file's own 1-based line number, blank lines included
+    for idx, ln in enumerate(lines[1:], start=2):
         parts = ln.split()
+        if not parts:
+            continue
         if len(parts) != 3:
             raise ParseError(idx, "expected '<child> <parent> <dir>'")
         try:
