@@ -30,6 +30,7 @@ a samples x n block per tree edge.
 from __future__ import annotations
 
 import csv
+import ctypes
 import io
 import math
 from dataclasses import dataclass
@@ -44,6 +45,14 @@ from .rng import as_stream
 from .trees import DOWN, UP, RootedOrientedTree
 
 MARGINAL_TOL = 1e-10
+
+# glibc keeps freed heap memory resident, up to a trim threshold that grows
+# to 64 MiB after large frees, so without a trim a batch's peak memory
+# depends on what the process allocated and freed before it
+try:
+    _malloc_trim = ctypes.CDLL(None).malloc_trim
+except (AttributeError, OSError, TypeError):  # not glibc
+    _malloc_trim = None
 
 
 @dataclass(frozen=True)
@@ -321,6 +330,8 @@ def sample_trees_batch(
     if samples < 1:
         raise InputError("need at least one sample")
     rng = as_stream(seed, worker)
+    if _malloc_trim is not None:
+        _malloc_trim(0)  # hand freed heap pages back before the batch's own
     roots = (np.full(samples, start) if start is not None
              else rng.integers(0, g.n, size=samples))
     images, log_probs = _draw(x, t, roots, rng)

@@ -117,6 +117,24 @@ def test_batch_respects_arcs():
                 assert g.has_arc(c_img, p_img)
 
 
+def test_batch_heap_trim_changes_no_draw(monkeypatch):
+    import platform
+
+    from treecount import randtree
+
+    if platform.libc_ver()[0] == "glibc":
+        assert randtree._malloc_trim is not None
+    rng = np.random.default_rng(32)
+    g = random_dense_digraph(rng, 12, min_deg=7)
+    x, _ = max_entropy_matching(g)
+    t = random_tree(rng, 6, max_deg=3)
+    trimmed = sample_trees_batch(g, x, t, 300, seed=4)
+    monkeypatch.setattr(randtree, "_malloc_trim", None)
+    plain = sample_trees_batch(g, x, t, 300, seed=4)
+    assert np.array_equal(trimmed.images, plain.images)
+    assert np.array_equal(trimmed.log_probs, plain.log_probs)
+
+
 def test_empirical_transitions_match_matching():
     x = uniform_matching(5)
     t = star_tree(1)
