@@ -16,7 +16,9 @@ from treecount.trees import (
     AsymptoticParams,
     RootedOrientedTree,
     TreePiece,
+    _centroids,
     _reroot,
+    _rooted_code_and_aut,
     automorphism_count,
     decomposition_invariant_report,
     parse_tree_text,
@@ -390,6 +392,154 @@ def test_pieces_build_their_tree_on_first_read():
     assert all(p._tree is None for p in pieces)
     for p in pieces:
         assert p.tree is p.tree and p.tree.n == p.size
+
+
+def ref_subtree(t, v):
+    """The deque walk of the vertices below v, in BFS order."""
+    out = [v]
+    queue = deque([v])
+    while queue:
+        u = queue.popleft()
+        for c in t.children[u]:
+            out.append(c)
+            queue.append(c)
+    return out
+
+
+def ref_bfs_of(t, verts, root):
+    vset = set(verts)
+    out = [root]
+    queue = deque([root])
+    while queue:
+        u = queue.popleft()
+        for c in t.children[u]:
+            if c in vset:
+                out.append(c)
+                queue.append(c)
+    assert len(out) == len(vset)
+    return out
+
+
+def ref_greedy_cut(t, threshold_of_cut):
+    """The deepest-first cut with a removed-vertex array, a deque walk per
+    piece and a BFS of the leftover set, kept as the reference for the
+    single subtree walk."""
+    removed = [False] * t.n
+    size = [1] * t.n
+    order = sorted(range(t.n), key=t.depth.__getitem__, reverse=True)
+    pieces = []
+    total_cut = 0
+    thr = threshold_of_cut(total_cut)
+    for v in order:
+        for c in t.children[v]:
+            size[v] += size[c]
+        if size[v] >= thr:
+            verts = [v]
+            queue = deque([v])
+            while queue:
+                u = queue.popleft()
+                for c in t.children[u]:
+                    if not removed[c]:
+                        verts.append(c)
+                        queue.append(c)
+            for u in verts:
+                removed[u] = True
+            pieces.append((v, verts))
+            total_cut += len(verts)
+            thr = threshold_of_cut(total_cut)
+            size[v] = 0
+    leftover = [v for v in t.bfs_order if not removed[v]]
+    if leftover:
+        if pieces:
+            leftover += pieces.pop()[1]
+        pieces.append((t.root, ref_bfs_of(t, leftover, t.root)))
+    return pieces
+
+
+def ref_minus_subtree(t, v):
+    """t's BFS order less the subtree of v: the trunk of a split and the
+    root's half of a centroid split."""
+    below = set(ref_subtree(t, v))
+    return [u for u in t.bfs_order if u not in below]
+
+
+def ref_partition(t, size_floor):
+    return [tuple(verts) for _, verts in
+            reversed(ref_greedy_cut(t, lambda _: size_floor))]
+
+
+def ref_quarter_pieces(t, n0):
+    base, m = n0 - t.n + 1, 1
+
+    def threshold(total_cut):
+        nonlocal m
+        while m ** 4 < m + base + total_cut:
+            m += 1
+        return m
+
+    ordered = reversed(ref_greedy_cut(t, threshold))
+    return [tuple(verts) if i == 0 else (t.parent[root], *verts)
+            for i, (root, verts) in enumerate(ordered)]
+
+
+def ref_unrooted_aut(t, respect):
+    """Unrooted |Aut| of a two-centroid tree from the reference halves."""
+    c1, c2 = _centroids(t)
+    r1 = _reroot(t, c1)
+    codes = {}
+    halves = [TreePiece(r1, ref_minus_subtree(r1, c2)).tree,
+              TreePiece(r1, ref_subtree(r1, c2)).tree]
+    (code1, a1), (code2, a2) = (_rooted_code_and_aut(h, respect, codes)
+                                for h in halves)
+    return a1 * a2 * (2 if not respect and code1 == code2 else 1)
+
+
+def _caterpillar(n):
+    # a spine, each spine vertex with two pendant leaves
+    parent, dirs = [-1], [None]
+    spine = 0
+    for v in range(1, n, 3):
+        parent += [spine, spine, spine]
+        dirs += [DOWN, UP, DOWN if v % 2 else UP]
+        spine = v
+    return RootedOrientedTree(parent[:n], dirs[:n])
+
+
+def test_pieces_match_reference_walks():
+    rng = np.random.default_rng(31)
+    trees = [random_tree(rng, int(rng.integers(1, 401)),
+                         max_deg=int(rng.integers(3, 17))) for _ in range(40)]
+    trees += [path_tree(5000, [DOWN if v % 3 else UP for v in range(4999)]),
+              _caterpillar(3000)]
+    for t in trees:
+        floors = {1, 2, 3, t.n, int(rng.integers(1, t.n + 1))}
+        for floor in sorted(f for f in floors if f <= t.n):
+            got = [p.vertices for p in tree_partition(t, floor)]
+            assert got == ref_partition(t, floor), (t.n, floor)
+        for n0 in sorted({t.n, t.n + 1, 4 * t.n, 50 * t.n,
+                          int(rng.integers(t.n, 10 * t.n + 1))}):
+            if n0 >= max(t.n ** 4, 2):
+                continue
+            got = [p.vertices for p in quarter_decomposition(t, n0).pieces]
+            assert got == ref_quarter_pieces(t, n0), (t.n, n0)
+    for _ in range(40):
+        t = random_tree(rng, int(rng.integers(1, 31)), max_deg=int(rng.integers(3, 7)))
+        for threshold in range(1, t.n + 1):
+            split = split_trunk(t, threshold)
+            assert split.branch.vertices == tuple(ref_subtree(t, split.branch_root))
+            if split.degenerate:
+                assert split.trunk is None
+            else:
+                want = tuple(ref_minus_subtree(t, split.branch_root))
+                assert split.trunk.vertices == want
+    two_centroids = [path_tree(5000)]
+    while len(two_centroids) < 40:
+        t = random_tree(rng, int(rng.integers(2, 61)), max_deg=5)
+        if len(_centroids(t)) == 2:
+            two_centroids.append(t)
+    for t in two_centroids:
+        for respect in (True, False):
+            assert automorphism_count(t, False, respect) == ref_unrooted_aut(t, respect)
 
 
 def test_bfs_constructor_rejects_other_orders():
