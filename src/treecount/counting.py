@@ -70,13 +70,11 @@ def _embeddings(
             image[0] = r
             yield image
         return
-    order = t.bfs_order
-    pos = {v: i for i, v in enumerate(order)}
     # for BFS position i >= 1: the adjacency lists its candidates come
     # from, and the BFS position of its parent
     steps = [None] + [
-        (g.out_adj if t.edge_dir[v] == DOWN else g.in_adj, pos[t.parent[v]])
-        for v in order[1:]
+        (g.out_adj if t.edge_dir[v] == DOWN else g.in_adj, j)
+        for v, j in zip(t.bfs_order[1:], t.parent_pos[1:])
     ]
     leaf_adj, leaf_parent = steps[last]
     limit = math.inf if budget is None else budget
@@ -140,11 +138,9 @@ def _prefix_steps(g: Digraph, t: RootedOrientedTree) -> list:
     DOWN edge, A for UP), so that ``f @ step`` sums f over the arcs the
     edge may use.  Position 0 has no entry (None)."""
     adj = g.mask.astype(np.int64)
-    order = t.bfs_order
-    pos = {v: i for i, v in enumerate(order)}
     return [None] + [
-        (pos[t.parent[v]], adj.T if t.edge_dir[v] == DOWN else adj)
-        for v in order[1:]
+        (j, adj.T if t.edge_dir[v] == DOWN else adj)
+        for v, j in zip(t.bfs_order[1:], t.parent_pos[1:])
     ]
 
 

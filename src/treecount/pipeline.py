@@ -158,9 +158,6 @@ def run_pipeline(
     cur_h = 0.0  # matching_entropy(cur_x)
     method = "scaling"
 
-    def to_tree_id(piece_local: int, piece: TreePiece) -> int:
-        return trunk_ids[piece.vertices[piece_local]]
-
     def partial_trace() -> PipelineTrace:
         return PipelineTrace(
             success=False, mapping=mapping, stages=tuple(stages),
@@ -203,11 +200,11 @@ def run_pipeline(
                 f"retry budget exhausted at stage {idx}",
                 stage=idx, retries=retries, trace=partial_trace(),
             )
-        piece_bfs = piece.tree.bfs_order
-        new_images_cur = []
-        for bfs_i, local_v in enumerate(piece_bfs):
-            tree_id = to_tree_id(local_v, piece)
-            host_orig = cur_to_orig[real.images[bfs_i]]
+        # the piece tree's BFS order is its local ids, so real.images lines
+        # up with piece.vertices
+        for v, host_cur in zip(piece.vertices, real.images):
+            tree_id = trunk_ids[v]
+            host_orig = cur_to_orig[host_cur]
             if tree_id in mapping:
                 # overlap vertex: the forced root must agree with its image
                 if mapping[tree_id] != host_orig:
@@ -218,7 +215,6 @@ def run_pipeline(
                 continue
             mapping[tree_id] = host_orig
             used_host.add(host_orig)
-            new_images_cur.append(real.images[bfs_i])
         stages.append(StageRecord(
             index=idx,
             piece_size=piece.size,
@@ -240,8 +236,7 @@ def run_pipeline(
         # prepare the next host: drop every used vertex, re-attach the next
         # anchor's image as a fresh vertex with its surviving neighborhoods
         next_piece = dec.pieces[idx + 1]
-        anchor_tree_id = to_tree_id(next_piece.tree.root, next_piece)
-        anchor_orig = mapping[anchor_tree_id]
+        anchor_orig = mapping[trunk_ids[next_piece.root]]
         removed_cur = sorted(
             i for i, orig in enumerate(cur_to_orig) if orig in used_host
         )

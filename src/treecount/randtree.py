@@ -146,13 +146,12 @@ def _draw_one(
     equals the batch path's on the same uniforms, bit for bit.
     """
     trans = _transition_matrices(x)
-    pos = _bfs_index(t)
     cdfs: dict[tuple[str, int], np.ndarray] = {}
     images = [root]
     weights = []
-    for v in t.bfs_order[1:]:
+    for v, j in zip(t.bfs_order[1:], t.parent_pos[1:]):
         d = t.edge_dir[v]
-        r = images[pos[t.parent[v]]]
+        r = images[j]
         cdf = cdfs.get((d, r))
         if cdf is None:
             cdf = cdfs[d, r] = np.cumsum(trans[d][r])
@@ -209,21 +208,20 @@ def _draw_many(
     n, k = x.n, len(roots)
     trans = _transition_matrices(x)
     w = np.ascontiguousarray(x.weights).ravel()
-    pos = _bfs_index(t)
     small = np.min_scalar_type(n - 1)
     tables: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = {}
     used = np.zeros(n, dtype=bool)
     # one contiguous row of images per tree vertex, returned transposed
     images = np.empty((t.n, k), dtype=np.int64)
-    images[pos[t.root]] = roots
+    images[0] = roots
     log_probs = np.zeros(k)
-    for v in t.bfs_order[1:]:
+    for i, (v, j) in enumerate(zip(t.bfs_order[1:], t.parent_pos[1:]), 1):
         d = t.edge_dir[v]
         if d not in tables:
             tables[d] = (np.empty((n, n)), np.empty((n, n), dtype=small),
                          np.empty(n), np.zeros(n, dtype=bool))
         cdf, guide, totals, built = tables[d]
-        parents = images[pos[t.parent[v]]]
+        parents = images[j]
         if not built.all():
             used[:] = False
             used[parents] = True
@@ -255,7 +253,7 @@ def _draw_many(
             at[move] -= 1
             move = move[(at[move] > base[move])
                         & (flat[at[move] - 1] >= target[move])]
-        found = images[pos[v]]
+        found = images[i]
         np.subtract(at, base, out=found)
         # the weight of cell (parents, found) of trans[d], read from w
         p = w[at] if d == DOWN else w[found * n + parents]
@@ -286,21 +284,14 @@ def sample_tree(
     )
 
 
-def _bfs_index(t: RootedOrientedTree) -> dict[int, int]:
-    return {v: i for i, v in enumerate(t.bfs_order)}
-
-
 def replay_log_prob(
     x: PerfectFractionalMatching, t: RootedOrientedTree, images: Sequence[int]
 ) -> float:
     """Recompute the base-2 log probability of an image sequence."""
-    pos = _bfs_index(t)
     trans = _transition_matrices(x)
     total = 0.0
-    for v in t.bfs_order:
-        if v == t.root:
-            continue
-        p = trans[t.edge_dir[v]][images[pos[t.parent[v]]], images[pos[v]]]
+    for i, (v, j) in enumerate(zip(t.bfs_order[1:], t.parent_pos[1:]), 1):
+        p = trans[t.edge_dir[v]][images[j], images[i]]
         if p <= 0:
             return -math.inf
         total += math.log2(p)
@@ -416,14 +407,10 @@ def marginals(
     """Exact P[image of tree vertex = host vertex] for every tree vertex."""
     _check_inputs(g, x, start)
     trans = _transition_matrices(x)
-    pos = _bfs_index(t)
     rows = np.zeros((t.n, g.n))
-    rows[pos[t.root], start] = 1.0
-    for v in t.bfs_order:
-        if v == t.root:
-            continue
-        parent_row = rows[pos[t.parent[v]]]
-        rows[pos[v]] = parent_row @ trans[t.edge_dir[v]]
+    rows[0, start] = 1.0
+    for i, (v, j) in enumerate(zip(t.bfs_order[1:], t.parent_pos[1:]), 1):
+        rows[i] = rows[j] @ trans[t.edge_dir[v]]
     return MarginalTable(rows=rows)
 
 
@@ -440,17 +427,13 @@ def exact_tree_entropy(
     side the edge points to.
     """
     table = marginals(g, x, t, start)
-    pos = _bfs_index(t)
     side_entropy = {
         DOWN: np.array([vertex_entropy(x, v, "out") for v in range(g.n)]),
         UP: np.array([vertex_entropy(x, v, "in") for v in range(g.n)]),
     }
     total = 0.0
-    for v in t.bfs_order:
-        if v == t.root:
-            continue
-        parent_row = table.rows[pos[t.parent[v]]]
-        total += float(parent_row @ side_entropy[t.edge_dir[v]])
+    for v, j in zip(t.bfs_order[1:], t.parent_pos[1:]):
+        total += float(table.rows[j] @ side_entropy[t.edge_dir[v]])
     return total
 
 

@@ -9,10 +9,10 @@ broken by smallest vertex id so results are deterministic.
 from __future__ import annotations
 
 import math
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Iterable, Optional, Sequence
+from typing import Container, Optional, Sequence
 
 import numpy as np
 
@@ -30,7 +30,7 @@ class RootedOrientedTree:
     """
 
     __slots__ = ("n", "root", "parent", "edge_dir", "children",
-                 "bfs_order", "depth")
+                 "bfs_order", "depth", "_parent_pos")
 
     def __init__(self, parent: Sequence[int], edge_dir: Sequence[Optional[str]]):
         n = len(parent)
@@ -76,6 +76,7 @@ class RootedOrientedTree:
         self.children = tuple(map(tuple, children))
         self.bfs_order = tuple(order)
         self.depth = tuple(depth)
+        self._parent_pos = None
 
     @property
     def m(self) -> int:
@@ -98,15 +99,27 @@ class RootedOrientedTree:
                 size[self.parent[v]] += size[v]
         return size
 
-    def subtree_vertices(self, v: int) -> list[int]:
-        """Vertices below v (inclusive), in BFS order of the subtree."""
+    @property
+    def parent_pos(self) -> tuple[int, ...]:
+        """``parent_pos[i]`` is the BFS position of ``bfs_order[i]``'s
+        parent, -1 for the root.  Built on first read and cached."""
+        if self._parent_pos is None:
+            # the BFS lists the children of bfs_order[0], then those of
+            # bfs_order[1], and so on, so position i's children come next
+            pos = [-1]
+            for i, v in enumerate(self.bfs_order):
+                pos += [i] * len(self.children[v])
+            self._parent_pos = tuple(pos)
+        return self._parent_pos
+
+    def subtree_vertices(self, v: int, cut: Container[int] = ()) -> list[int]:
+        """Vertices below v (inclusive), in BFS order of the subtree,
+        without entering the subtree of any vertex in ``cut``."""
         out = [v]
-        queue = deque([v])
-        while queue:
-            u = queue.popleft()
+        for u in out:
             for c in self.children[u]:
-                out.append(c)
-                queue.append(c)
+                if c not in cut:
+                    out.append(c)
         return out
 
     def oriented_edges(self) -> list[tuple[int, int]]:
@@ -196,11 +209,11 @@ def _greedy_cut(
     Returns the pieces in cut order as (root, vertices in BFS order).
     """
     n = t.n
-    removed = [False] * n
     size = [1] * n
     # the sort is stable, so equal depths keep increasing id
     order = sorted(range(n), key=t.depth.__getitem__, reverse=True)
     pieces: list[tuple[int, list[int]]] = []
+    cuts: set[int] = set()  # the roots of the pieces cut so far
     total_cut = 0
     thr = threshold_of_cut(total_cut)
     # alive subtree sizes accumulate bottom-up as we sweep by depth; a
@@ -210,25 +223,18 @@ def _greedy_cut(
         for c in t.children[v]:
             size[v] += size[c]
         if size[v] >= thr:
-            verts = [v]
-            queue = deque([v])
-            while queue:
-                u = queue.popleft()
-                for c in t.children[u]:
-                    if not removed[c]:
-                        verts.append(c)
-                        queue.append(c)
-            for u in verts:
-                removed[u] = True
+            # a piece is v's subtree less the subtrees cut before it
+            verts = t.subtree_vertices(v, cuts)
+            cuts.add(v)
             pieces.append((v, verts))
             total_cut += len(verts)
             thr = threshold_of_cut(total_cut)
             size[v] = 0
-    leftover = [v for v in t.bfs_order if not removed[v]]
-    if leftover:
+    if total_cut < n:
+        # the uncut vertices, with the last-cut piece joined back to them
         if pieces:
-            leftover += pieces.pop()[1]
-        pieces.append((t.root, _bfs_of(t, leftover, t.root)))
+            cuts.remove(pieces.pop()[0])
+        pieces.append((t.root, t.subtree_vertices(t.root, cuts)))
     return pieces
 
 
@@ -241,21 +247,6 @@ def tree_partition(t: RootedOrientedTree, size_floor: int) -> list[TreePiece]:
         raise InputError(f"size_floor {size_floor} exceeds tree size {t.n}")
     pieces = _greedy_cut(t, lambda _: size_floor)
     return [TreePiece(t, verts) for _, verts in reversed(pieces)]
-
-
-def _bfs_of(t: RootedOrientedTree, verts: Iterable[int], root: int) -> list[int]:
-    vset = set(verts)
-    out = [root]
-    queue = deque([root])
-    while queue:
-        u = queue.popleft()
-        for c in t.children[u]:
-            if c in vset:
-                out.append(c)
-                queue.append(c)
-    if len(out) != len(vset):
-        raise InputError("piece vertices are not connected under the root")
-    return out
 
 
 @dataclass(frozen=True)
@@ -445,15 +436,12 @@ def split_trunk(t: RootedOrientedTree, threshold: int) -> TrunkSplit:
     size = t.subtree_sizes()
     candidates = [v for v in range(t.n) if size[v] >= threshold]
     t2 = min(candidates, key=lambda v: (-t.depth[v], v))
-    branch_verts = t.subtree_vertices(t2)
-    branch = TreePiece(t, branch_verts)
+    branch = TreePiece(t, t.subtree_vertices(t2))
     if t2 == t.root:
         return TrunkSplit(trunk=None, branch=branch, attach=None,
                           branch_root=t2, degenerate=True)
     t1 = t.parent[t2]
-    in_branch = set(branch_verts)
-    trunk_verts = [v for v in t.bfs_order if v not in in_branch]
-    trunk = TreePiece(t, trunk_verts)
+    trunk = TreePiece(t, t.subtree_vertices(t.root, {t2}))
     return TrunkSplit(trunk=trunk, branch=branch, attach=t1,
                       branch_root=t2, degenerate=False)
 
@@ -537,11 +525,8 @@ def automorphism_count(
     c1, c2 = cents
     r1 = _reroot(t, c1)
     # split on the centroid edge: root each half at its centroid
-    half2_verts = r1.subtree_vertices(c2)
-    in_half2 = set(half2_verts)
-    half1_verts = [v for v in r1.bfs_order if v not in in_half2]
-    half1 = TreePiece(r1, half1_verts).tree
-    half2 = TreePiece(r1, half2_verts).tree
+    half1 = TreePiece(r1, r1.subtree_vertices(c1, {c2})).tree
+    half2 = TreePiece(r1, r1.subtree_vertices(c2)).tree
     code1, a1 = _rooted_code_and_aut(half1, respect_orientation, codes)
     code2, a2 = _rooted_code_and_aut(half2, respect_orientation, codes)
     total = a1 * a2

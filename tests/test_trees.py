@@ -542,6 +542,29 @@ def test_pieces_match_reference_walks():
             assert automorphism_count(t, False, respect) == ref_unrooted_aut(t, respect)
 
 
+def test_parent_pos_matches_dict_reference():
+    rng = np.random.default_rng(32)
+    trees = [random_tree(rng, int(rng.integers(1, 301)),
+                         max_deg=int(rng.integers(3, 9))) for _ in range(40)]
+    trees += [path_tree(1), path_tree(5000), _caterpillar(3000),
+              _reroot(path_tree(5000), 2500)]
+    for t in trees:
+        assert t._parent_pos is None
+        pos = {v: i for i, v in enumerate(t.bfs_order)}
+        want = tuple(pos[t.parent[v]] if v != t.root else -1 for v in t.bfs_order)
+        assert t.parent_pos == want
+        assert t.parent_pos is t.parent_pos
+
+
+def test_decompose_leaves_parent_pos_unbuilt():
+    t = parse_tree_text(write_tree_text(random_tree(np.random.default_rng(33), 2000)))
+    dec = quarter_decomposition(t, 2000)
+    assert all(decomposition_invariant_report(t, dec).values())
+    tree_partition(t, 10)
+    split_trunk(t, 40)
+    assert t._parent_pos is None
+
+
 def test_bfs_constructor_rejects_other_orders():
     t = RootedOrientedTree([-1, 0, 0, 1], [None, DOWN, UP, DOWN])
     assert t.children == ((1, 2), (3,), (), ()) and t.depth == (0, 1, 1, 2)
