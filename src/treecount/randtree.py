@@ -287,7 +287,12 @@ def sample_tree(
 def replay_log_prob(
     x: PerfectFractionalMatching, t: RootedOrientedTree, images: Sequence[int]
 ) -> float:
-    """Recompute the base-2 log probability of an image sequence."""
+    """Recompute the base-2 log probability of an image sequence.
+
+    ``images`` lists one host vertex per tree vertex, in BFS order.
+    """
+    if len(images) != t.n or not all(0 <= r < x.n for r in images):
+        raise InputError(f"need {t.n} images, each a host vertex in 0..{x.n - 1}")
     trans = _transition_matrices(x)
     total = 0.0
     for i, (v, j) in enumerate(zip(t.bfs_order[1:], t.parent_pos[1:]), 1):

@@ -98,6 +98,16 @@ def test_log_prob_replay():
         )
 
 
+def test_replay_refuses_malformed_images():
+    x, _ = max_entropy_matching(complete_digraph(5))
+    t = path_tree(3)
+    assert replay_log_prob(x, t, [0, 1, 2]) == pytest.approx(-4.0)
+    # too few or too many images, or an image outside the host
+    for images in ([0, 1, -1], [0, 1, 2, 3, 4], [0, 1], [0, 1, 7]):
+        with pytest.raises(InputError):
+            replay_log_prob(x, t, images)
+
+
 def test_batch_respects_arcs():
     rng = np.random.default_rng(31)
     g = random_dense_digraph(rng, 12, min_deg=7)
