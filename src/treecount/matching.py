@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -484,6 +484,10 @@ def normalize_to_b(
 # rebalancing after vertex removal
 # ---------------------------------------------------------------------------
 
+# the pass cap of each side's row redistribution in rebalance_after_removal
+_REDISTRIBUTE_PASSES = 500
+
+
 @dataclass(frozen=True)
 class RebalanceReport:
     entropy: float
@@ -496,7 +500,6 @@ class RebalanceReport:
 @dataclass(frozen=True)
 class RebalanceResult:
     matching: PFM
-    vertex_map: dict[int, int] = field(compare=False)
     new_vertex: Optional[int]
     report: RebalanceReport
 
@@ -575,7 +578,6 @@ def rebalance_after_removal(
     attach_out: Optional[Sequence[int]] = None,
     attach_in: Optional[Sequence[int]] = None,
     tol: float = ROWSUM_TOL,
-    max_passes: int = 500,
     entropy: Optional[float] = None,
 ) -> RebalanceResult:
     """Rebuild a matching after deleting vertices, optionally attaching a
@@ -607,8 +609,7 @@ def rebalance_after_removal(
             entropy=entropy, target=entropy,
             slack=0.0, meets_target=True, passes=0,
         )
-        return RebalanceResult(matching=x, vertex_map=relabel,
-                               new_vertex=None, report=rep)
+        return RebalanceResult(matching=x, new_vertex=None, report=rep)
     kept = len(keep)
     n_new = kept + (1 if attach else 0)
     block = np.ix_(keep, keep)
@@ -640,8 +641,8 @@ def rebalance_after_removal(
     if total <= 0:
         raise ProcedureError("no surviving weight to rescale", total=total)
     w *= n_new / total
-    p1 = _redistribute_rows(w, mask, tol, max_passes)
-    p2 = _redistribute_rows(w.T, mask.T, tol, max_passes)
+    p1 = _redistribute_rows(w, mask, tol, _REDISTRIBUTE_PASSES)
+    p2 = _redistribute_rows(w.T, mask.T, tol, _REDISTRIBUTE_PASSES)
     out = PFM(host, w, tol=2 * tol)
     h_new = matching_entropy(out)
     target = (kept / g.n) * entropy - kept * math.log2(g.n / kept)
@@ -649,8 +650,7 @@ def rebalance_after_removal(
         entropy=h_new, target=target, slack=h_new - target,
         meets_target=h_new >= target - 1e-9, passes=p1 + p2,
     )
-    return RebalanceResult(matching=out, vertex_map=relabel,
-                           new_vertex=u_id, report=rep)
+    return RebalanceResult(matching=out, new_vertex=u_id, report=rep)
 
 
 @dataclass(frozen=True)

@@ -39,10 +39,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import InputError, ProcedureError
-from .graphs import Digraph
-from .matching import PerfectFractionalMatching, vertex_entropy
+from .graphs import Digraph, epsilon_of
+from .matching import PerfectFractionalMatching, normality, vertex_entropy
 from .rng import as_stream
-from .trees import DOWN, UP, RootedOrientedTree
+from .trees import DOWN, UP, RootedOrientedTree, path_tree
 
 MARGINAL_TOL = 1e-10
 
@@ -70,7 +70,6 @@ class Realisation:
     images: tuple[int, ...]      # aligned with the tree's BFS order
     log_prob: float              # base-2 log of the sampling probability
     self_avoiding: bool
-    expectedness: Optional[ExpectednessReport] = None
 
 
 @dataclass(frozen=True)
@@ -383,8 +382,6 @@ def walk_pattern(
         if d not in (UP, DOWN):
             raise InputError(f"pattern entries must be 'up' or 'down', got {d!r}")
     dirs = [pattern[i % len(pattern)] for i in range(steps)]
-    from .trees import path_tree
-
     t = path_tree(steps + 1, dirs)
     r = sample_tree(g, x, t, start, seed)
     return r.images
@@ -551,9 +548,6 @@ def mixing_check(
     t_max: Optional[int] = None,
 ) -> MixingReport:
     """Exact walk-marginal deviations against the geometric mixing bound."""
-    from .graphs import epsilon_of
-    from .matching import normality
-
     if t_max is None:
         t_max = t_min + 20
     if not (1 <= t_min <= t_max):
