@@ -9,7 +9,11 @@ Exact counts in hosts of at most 16 vertices come from inclusion–exclusion
 over host vertex subsets (``_count_by_subsets``), unless a walk-count bound
 shows that the search is shorter; larger hosts, and those, are counted by
 the BFS-order backtracking search (``_embeddings``), which also serves
-placement and existence checks.
+placement and existence checks.  The subset DP runs once, for the whole
+tree, when that bound also keeps the search's visits within its budget,
+and once per BFS prefix otherwise, to total them.  It runs in float64,
+through BLAS, up to 14 vertices, where every value it holds is an integer
+below 2**53, and in int64 at 15 and 16.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from .matching import (
     PerfectFractionalMatching,
     digraph_entropy,
     matching_entropy,
-    normality,
+    normality,  # noqa: F401  -- the benchmark's tracer wraps counting.normality
 )
 from .randtree import sample_trees_batch, split_samples
 from .trees import DOWN, RootedOrientedTree, _reroot, automorphism_count
@@ -46,6 +50,7 @@ class CountReport:
     unlabelled: Optional[float]
     method: str                              # "brute" or "estimator"
     ci: Optional[tuple[float, float, float]] = None   # (low, high, confidence)
+    aut: Optional[int] = None    # the divisor of unlabelled, when there is one
 
 
 def _embeddings(
@@ -130,14 +135,25 @@ def _budget_exceeded(visits: int) -> ProcedureError:
 # Largest host order n with n * (n - 1)**(n - 1) < 2**63: no homomorphism
 # count of an n-vertex tree into an n-vertex host overflows int64.
 _SUBSET_MAX_N = 16
+# Largest n with n * (n - 1)**(n - 1) < 2**53: float64 holds every value of
+# the tree DP exactly, and sums and products of such integers stay exact in
+# any order, so the DP may run through BLAS.
+_FLOAT_MAX_N = 14
+
+
+def _dp_dtype(n: int) -> type:
+    """The tree DP's dtype in an n-vertex host: float64 where it is exact,
+    int64 above."""
+    return np.float64 if n <= _FLOAT_MAX_N else np.int64
 
 
 def _prefix_steps(g: Digraph, t: RootedOrientedTree) -> list:
-    """For BFS position i >= 1 of t: its parent's position, and the int64
+    """For BFS position i >= 1 of t: its parent's position, and the 0/1
     matrix that takes its host-vertex vector to its parent's (A.T for a
     DOWN edge, A for UP), so that ``f @ step`` sums f over the arcs the
-    edge may use.  Position 0 has no entry (None)."""
-    adj = g.mask.astype(np.int64)
+    edge may use.  Position 0 has no entry (None).  The matrices have the
+    dtype ``_dp_dtype(g.n)``."""
+    adj = g.mask.astype(_dp_dtype(g.n))
     return [None] + [
         (j, adj.T if t.edge_dir[v] == DOWN else adj)
         for v, j in zip(t.bfs_order[1:], t.parent_pos[1:])
@@ -148,9 +164,10 @@ def _prefix_homs(rows: np.ndarray, steps: list, m: int) -> np.ndarray:
     """Homomorphisms of the BFS prefix T_m into g[S], per root image.
 
     ``rows`` holds one 0/1 membership row per host subset S (a single
-    all-ones row for S = V(g)), and ``steps`` is ``_prefix_steps(g, t)``.
-    The tree DP runs bottom-up: each vertex's array is its membership
-    times the product of its children's arrays moved through their steps.
+    all-ones row for S = V(g)), and ``steps`` is ``_prefix_steps(g, t)``,
+    of the same dtype.  The tree DP runs bottom-up: each vertex's array is
+    its membership times the product of its children's arrays moved
+    through their steps.
     """
     acc: list = [None] * m  # acc[i]: membership times i's children so far
     for i in range(m - 1, 0, -1):
@@ -165,35 +182,38 @@ def _prefix_homs(rows: np.ndarray, steps: list, m: int) -> np.ndarray:
     return acc[0]
 
 
-def _search_is_short(g: Digraph, t: RootedOrientedTree, roots: list[int]) -> bool:
-    """Whether ``_embeddings`` provably makes at most 2**g.n visits.
+def _visit_bound(g: Digraph, t: RootedOrientedTree, roots: list[int]) -> int:
+    """An upper bound on the visits of ``_embeddings(g, t, roots)``.
 
     Each visit places the last vertex of an injective copy of a BFS prefix
-    T_m (m >= 2) of t, so the visit total is at most the prefixes'
-    homomorphism counts, sum_m sum_{r in roots} hom(T_m, g, r): one
-    walk-count DP per prefix.  The sum stops as soon as it passes 2**g.n,
-    the row count of ``_count_by_subsets``.  On sparse hosts the search is
-    then the cheaper count, while dense hosts pass the cap within a few
-    prefixes.  Needs g.n <= _SUBSET_MAX_N, so that no count overflows
-    int64.
+    T_m (m >= 2) of t.  For each m those copies number at most
+    hom(T_m, g, roots), the walk count of a one-row tree DP, and at most
+    |roots| * P(n - 1, m - 1), the injective maps with the root image in
+    ``roots``; the bound sums the smaller of the two.  A bound of at most
+    2**g.n, the row count of ``_count_by_subsets``, makes the search the
+    cheaper count, as on sparse hosts; dense hosts pass it within a few
+    prefixes.  From there the walk-count DPs stop, and the remaining
+    prefixes add their caps alone, which still bound the visits for the
+    ``budget`` check.  Needs g.n <= _SUBSET_MAX_N.
     """
     n = g.n
-    cap = 1 << n
-    ones = np.ones(n, dtype=np.int64)
-    in_roots = np.zeros(n, dtype=np.int64)
+    dtype = _dp_dtype(n)
+    ones = np.ones(n, dtype=dtype)
+    in_roots = np.zeros(n, dtype=dtype)
     in_roots[roots] = 1
     steps = _prefix_steps(g, t)
     bound = 0
     for m in range(2, t.n + 1):
-        bound += int(_prefix_homs(ones, steps, m) @ in_roots)
-        if bound > cap:
-            return False
-    return True
+        cap = len(roots) * math.perm(n - 1, m - 1)
+        if bound <= 1 << n:
+            cap = min(cap, int(_prefix_homs(ones, steps, m) @ in_roots))
+        bound += cap
+    return bound
 
 
 def _count_by_subsets(
-    g: Digraph, t: RootedOrientedTree, roots: Iterable[int]
-) -> tuple[int, int]:
+    g: Digraph, t: RootedOrientedTree, roots: Iterable[int], visits: bool = True
+) -> tuple[int, Optional[int]]:
     """(copies of t in g rooted in ``roots``, visits of ``_embeddings``).
 
     For the BFS prefix T_m of t (its first m vertices in ``t.bfs_order``)
@@ -206,25 +226,29 @@ def _count_by_subsets(
 
         inj_m = sum_S (-1)^(m-|S|) C(n-|S|, m-|S|) hom(T_m, g[S]).
 
-    The search visits each injective copy of each prefix T_2..T_k once, so
-    its visit total is inj_2 + ... + inj_k.  Needs g.n <= _SUBSET_MAX_N.
+    The copies of t are inj_k.  The search visits each injective copy of
+    each prefix T_2..T_k once, so its visit total is inj_2 + ... + inj_k;
+    with ``visits`` false only T_k's DP runs, and the visit total is None.
+    Needs g.n <= _SUBSET_MAX_N.
     """
     n, k = g.n, t.n
     roots = list(roots)
     if k == 1:
-        return len(roots), 0
+        return len(roots), 0 if visits else None
     # rows: the subsets of V(g) by size, then by bitmask; the subsets of
     # size s are rows ends[s-1]..ends[s]-1
+    dtype = _dp_dtype(n)
     masks = np.arange(1 << n, dtype=np.int64)
-    member = (masks[:, None] >> np.arange(n)) & 1
+    member = ((masks[:, None] >> np.arange(n)) & 1).astype(dtype)
     member = member[np.argsort(member.sum(axis=1), kind="stable")]
     ends = list(itertools.accumulate(math.comb(n, s) for s in range(n + 1)))
-    in_roots = np.zeros(n, dtype=np.int64)
+    in_roots = np.zeros(n, dtype=dtype)
     in_roots[roots] = 1
     steps = _prefix_steps(g, t)
-    labelled = visits = 0
-    for m in range(2, k + 1):
+    total = 0
+    for m in range(2, k + 1) if visits else [k]:
         hom = _prefix_homs(member[:ends[m]], steps, m) @ in_roots
+        hom = hom.astype(np.int64, copy=False)
         # exact sums per subset size: each half sums below 2**48
         starts = [0] + ends[:m]
         lo = np.add.reduceat(hom & 0xFFFFFFFF, starts).tolist()
@@ -233,9 +257,8 @@ def _count_by_subsets(
             (-1) ** (m - s) * math.comb(n - s, m - s) * ((hi[s] << 32) + lo[s])
             for s in range(m + 1)
         )
-        visits += inj
-        labelled = inj
-    return labelled, visits
+        total += inj
+    return inj, total if visits else None
 
 
 def count_copies_brute(
@@ -248,28 +271,34 @@ def count_copies_brute(
 
     Hosts of at most 16 vertices are counted by ``_count_by_subsets``:
     inclusion–exclusion over the host's vertex subsets, with one tree DP
-    per subset and BFS prefix of t.  At 16 vertices every homomorphism
-    count is at most 16 * 15**15 < 2**63, so its int64 arithmetic is
-    exact; at 17 it no longer is, and larger hosts are counted by the
-    backtracking search ``_embeddings``.  So are small hosts on which
-    ``_search_is_short`` proves that the search makes at most 2**n
-    visits, no more than the DP has rows.  Either way ``budget`` bounds the
-    search's visits: the DP computes the visit total the search would
-    make and raises the search's error when it exceeds ``budget``.
+    per subset.  At 16 vertices every homomorphism count is at most
+    16 * 15**15 < 2**63, so int64 arithmetic is exact; at 17 it no longer
+    is, and larger hosts are counted by the backtracking search
+    ``_embeddings``.  Up to 14 vertices every count is below 2**53, and
+    the DP runs in float64 instead, through BLAS; at 15 and 16 it runs in
+    int64.  Small hosts on which ``_visit_bound`` proves that the search
+    makes at most 2**n visits, no more than the DP has rows, are counted
+    by the search too.  Either way ``budget`` bounds the search's visits.
+    When ``_visit_bound`` keeps them within ``budget`` the DP runs for t
+    alone; otherwise it runs for every BFS prefix of t, totals the visits
+    the search would make, and raises the search's error when they exceed
+    ``budget``.
     """
     if t.n > g.n:
         raise InputError(f"tree size {t.n} exceeds host size {g.n}")
     if root_image is not None and not (0 <= root_image < g.n):
         raise InputError(f"root image {root_image} out of range")
     roots = [root_image] if root_image is not None else list(range(g.n))
-    if g.n <= _SUBSET_MAX_N and not _search_is_short(g, t, roots):
-        labelled, visits = _count_by_subsets(g, t, roots)
-        if budget is not None and visits > budget:
+    if g.n <= _SUBSET_MAX_N and (bound := _visit_bound(g, t, roots)) > 1 << g.n:
+        count_visits = budget is not None and bound > budget
+        labelled, visits = _count_by_subsets(g, t, roots, count_visits)
+        if count_visits and visits > budget:
             raise _budget_exceeded(budget + 1)
     else:
         labelled = 0
         for _ in _embeddings(g, t, roots, budget):
             labelled += 1
+    aut = unlabelled = None
     if root_image is None:
         aut = automorphism_count(t, rooted=False, respect_orientation=True)
         if labelled % aut != 0:
@@ -277,10 +306,10 @@ def count_copies_brute(
                 "labelled count not divisible by the automorphism count",
                 labelled=labelled, aut=aut,
             )
-        unlabelled: Optional[float] = labelled // aut
-    else:
-        unlabelled = None
-    return CountReport(labelled=labelled, unlabelled=unlabelled, method="brute")
+        unlabelled = labelled // aut
+    return CountReport(
+        labelled=labelled, unlabelled=unlabelled, method="brute", aut=aut
+    )
 
 
 def estimate_copies(
@@ -299,7 +328,7 @@ def estimate_copies(
     product over n, so 1_{injective} * n * 2^{-log_prob} averages to the
     labelled count.
     """
-    if normality(x).support_gaps:
+    if not x.weights[x.host.mask].all():
         raise InputError(
             "matching has zero-weight arcs; the estimator would be biased"
         )
@@ -319,7 +348,7 @@ def estimate_copies(
     ci = (mean - zq * se, mean + zq * se, confidence)
     aut = automorphism_count(t, rooted=False, respect_orientation=True)
     return CountReport(
-        labelled=mean, unlabelled=mean / aut, method="estimator", ci=ci
+        labelled=mean, unlabelled=mean / aut, method="estimator", ci=ci, aut=aut
     )
 
 
@@ -492,9 +521,8 @@ def verify_bound_experiment(
 ) -> BoundExperiment:
     """Compare the exact unlabelled copy count with the entropy bound."""
     h, note = bound_entropy(g, t)
-    aut = automorphism_count(t, rooted=False, respect_orientation=True)
     rep = count_copies_brute(g, t)
-    count = rep.unlabelled
+    count, aut = rep.unlabelled, rep.aut
     bound = directed_lower_bound(BoundInputs(n=g.n, h=h, eps=eps, aut=aut))
     ratio = (math.log2(count) - bound.log2) if count > 0 else -math.inf
     return BoundExperiment(

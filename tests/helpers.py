@@ -35,8 +35,14 @@ def random_tree(
     list, so ``rng.integers(0, len(elig))`` picks the same vertex, from the
     same random numbers, as ``rng.choice`` over
     ``np.flatnonzero(deg[:v] < max_deg - 1)`` would, without an O(v) scan
-    per vertex.
+    per vertex.  Below a cap of 3 no vertex but the root takes a child, so
+    the draw stops at max(max_deg, 1) vertices; larger n is refused.
     """
+    if max_deg < 3 and n > max(max_deg, 1):
+        raise ValueError(
+            f"degree cap max_deg={max_deg} allows at most {max(max_deg, 1)} "
+            f"vertices, not {n}; use max_deg >= 3"
+        )
     parent = [-1]
     dirs: list = [None]
     deg = [0] * n

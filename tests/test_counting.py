@@ -30,7 +30,7 @@ from treecount.graphs import (
     complete_graph,
     directed_cycle,
 )
-from treecount.matching import max_entropy_matching
+from treecount.matching import max_entropy_matching, normality
 from treecount.trees import DOWN, RootedOrientedTree, path_tree
 
 
@@ -211,9 +211,9 @@ def test_subset_count_matches_search():
             found = sum(1 for _ in _embeddings(g, t, roots, budget=visits))
             assert rep.labelled == labelled == found
             # the walk-count bound that routes small hosts to the search
-            # never undercounts the search's visits
-            if counting._search_is_short(g, t, list(roots)):
-                assert visits <= 2 ** g.n
+            # and spares the DP its other prefixes never undercounts the
+            # search's visits
+            assert visits <= counting._visit_bound(g, t, list(roots))
             if visits:
                 with pytest.raises(ProcedureError) as exc:
                     for _ in _embeddings(g, t, roots, budget=visits - 1):
@@ -250,12 +250,59 @@ def test_subset_count_boundary(monkeypatch):
 
 def test_subset_count_complete_hosts():
     # in K_n every injective sequence is a copy of the directed path; at
-    # n = 11 a subset's homomorphism count passes 2**32, and at n = 16 it
-    # reaches 16 * 15**15, within a factor 1.4 of 2**63
-    for n in (11, 16):
+    # n = 11 a subset's homomorphism count passes 2**32, at n = 14, the
+    # largest host counted in float64, it reaches 14 * 13**13 < 2**53, at
+    # n = 15, the first counted in int64, 15 * 14**14 > 2**53, and at
+    # n = 16 it reaches 16 * 15**15, within a factor 1.4 of 2**63
+    assert 14 * 13**13 < 2**53 < 15 * 14**14
+    assert counting._dp_dtype(14) is np.float64
+    assert counting._dp_dtype(15) is np.int64
+    for n in (11, 14, 15, 16):
         labelled, visits = _count_by_subsets(complete_digraph(n), path_tree(n), range(n))
         assert labelled == math.factorial(n)
         assert visits == sum(math.perm(n, m) for m in range(2, n + 1))
+
+
+def _thinned_spanning(n, seed):
+    rng = np.random.default_rng(seed)
+    g = random_dense_digraph(rng, n, n - 4, keep_prob=1.0)
+    return g, random_tree(rng, n, max_deg=4)
+
+
+def test_subset_count_runs_one_prefix_within_budget(monkeypatch):
+    # at 10 vertices every prefix's injective maps total at most
+    # sum_m P(10, m) < 50M visits, so the default budget cannot be
+    # exceeded, and the subset DP runs for the whole tree alone
+    g, t = _thinned_spanning(10, 6)
+    assert counting._visit_bound(g, t, list(range(10))) <= 50_000_000
+    prefixes = []
+    homs = counting._prefix_homs
+    monkeypatch.setattr(
+        counting, "_prefix_homs",
+        lambda rows, steps, m: prefixes.append((rows.ndim, m)) or homs(rows, steps, m),
+    )
+    assert count_copies_brute(g, t).labelled == _reference_count(g, t)
+    assert [m for ndim, m in prefixes if ndim == 2] == [10]
+
+
+def test_subset_count_budget_between_visits_and_bound():
+    # a budget the visit bound does not clear makes the DP total every
+    # prefix's visits: within them it still counts, one below them it
+    # raises what the search raises
+    g, t = _thinned_spanning(10, 7)
+    roots = list(range(10))
+    labelled, visits = _count_by_subsets(g, t, roots)
+    bound = counting._visit_bound(g, t, roots)
+    assert 2**10 < visits < bound
+    for budget in (visits, (visits + bound) // 2, bound - 1, bound):
+        assert count_copies_brute(g, t, budget=budget).labelled == labelled
+    with pytest.raises(ProcedureError) as got:
+        count_copies_brute(g, t, budget=visits - 1)
+    with pytest.raises(ProcedureError) as want:
+        for _ in _embeddings(g, t, roots, budget=visits - 1):
+            pass
+    assert str(got.value) == str(want.value)
+    assert got.value.diagnostics == want.value.diagnostics == {"visits": visits}
 
 
 def test_deep_path_count():
@@ -326,7 +373,9 @@ def test_estimator_rejects_support_gaps():
     from treecount.matching import PerfectFractionalMatching
 
     x = PerfectFractionalMatching(g, w)
-    with pytest.raises(InputError):
+    assert normality(x).support_gaps
+    gaps = "matching has zero-weight arcs; the estimator would be biased"
+    with pytest.raises(InputError, match=gaps):
         estimate_copies(g, x, path_tree(2), samples=10, seed=0)
 
 

@@ -62,3 +62,14 @@ def test_random_tree_pinned_c05_draws():
         got.append((n, _digest(t)))
     assert got == expected
 
+
+
+@pytest.mark.parametrize("n, max_deg", [(3, 2), (10, 2), (2, 1), (5, 0)])
+def test_random_tree_refuses_low_degree_cap(n, max_deg):
+    with pytest.raises(ValueError, match=f"degree cap max_deg={max_deg} allows"):
+        random_tree(np.random.default_rng(0), n, max_deg)
+
+
+@pytest.mark.parametrize("n, max_deg", [(1, 0), (1, 1), (2, 2), (3, 3)])
+def test_random_tree_draws_within_low_degree_cap(n, max_deg):
+    assert random_tree(np.random.default_rng(0), n, max_deg).n == n
