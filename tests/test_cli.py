@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 
@@ -187,6 +188,20 @@ def test_mixing_command(tmp_path, k6_file):
     payload = json.loads(open(out).read())
     assert payload["hypothesis_ok"]
     assert all(r["holds"] for r in payload["rows"] if r["admissible"])
+
+
+def test_mixing_output_pinned(tmp_path):
+    # SHA-256 of the whole report on a fixed 12-vertex host, recorded while
+    # cmd_mixing still spelled out each field of the report
+    g = tmp_path / "g12.txt"
+    g.write_text(write_graph_text(
+        random_dense_digraph(np.random.default_rng(16), 12, 8)
+    ))
+    out = tmp_path / "mixing.json"
+    assert main(["mixing", str(g), "--t-max", "40", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "04cd03c3d9b86b09fb6fceb3b3c1dfbb75b0cd3c45f6a660a50032fd63cb35b1"
+    )
 
 
 def test_decompose_command(tmp_path):

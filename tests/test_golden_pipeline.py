@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from helpers import random_dense_digraph, random_tree
-from treecount.errors import ProcedureError
+from treecount.errors import InputError, ProcedureError
 from treecount.graphs import complete_digraph
 from treecount.matching import (
     PerfectFractionalMatching,
@@ -107,6 +107,53 @@ def test_fixed_failing_case_message():
     assert str(info.value) == "scaling did not converge in 1000 iterations"
     assert info.value.diagnostics["iterations"] == 1000
     assert info.value.diagnostics["residual"] == 0.0008571353590960396
+
+
+def _embed_pool_case(case_id: int):
+    # drawn as the benchmark's embed workload draws pool case case_id
+    rng = np.random.default_rng([0xE3BED, case_id])
+    g = random_dense_digraph(rng, 100, 60)
+    return g, random_tree(rng, 100, max_deg=4), case_id
+
+
+def _fixed_failing_case():
+    g = random_dense_digraph(np.random.default_rng(120), 120, 72)
+    t = random_tree(np.random.default_rng(1002), 120, max_deg=8)
+    return g, t, 2
+
+
+# (case, message, diagnostics but the trace, SHA-256 of the partial
+# trace's JSON, type of __cause__), recorded before run_pipeline's error
+# handling was folded into one path
+FAILED_CASES = [
+    ("fixed-120", "scaling did not converge in 1000 iterations",
+     {"iterations": 1000, "residual": 0.0008571353590960396, "stage": 26},
+     "2552d0c80def41c2b252bbe7724432cdc4a0f292e6374afceced4841dadd14b6",
+     ProcedureError),
+    ("pool-51", "vertex 0 has no out- or in-neighbors", {"stage": 27},
+     "df110c85492df8a226d66de0568e6bc306c2651641d86f9e04cc7041dbb7f8ff",
+     InputError),
+    ("pool-64", "no completion embedding for the reserved branch", {},
+     "1fea859d620a1a99c472c41a457782f6cdd55c6b70d2d22c25f05b73ec5f416c",
+     type(None)),
+]
+
+
+@pytest.mark.parametrize("case,message,rest,digest,cause", FAILED_CASES)
+def test_failed_pipeline_outcome(case, message, rest, digest, cause):
+    if case == "fixed-120":
+        g, t, seed = _fixed_failing_case()
+    else:
+        g, t, seed = _embed_pool_case(int(case.split("-")[1]))
+    with pytest.raises(ProcedureError) as info:
+        run_pipeline(g, t, seed=seed)
+    diag = dict(info.value.diagnostics)
+    trace = diag.pop("trace")
+    assert str(info.value) == message
+    assert diag == rest
+    assert not trace.success
+    assert _sha(trace_to_json(trace).encode()) == digest
+    assert type(info.value.__cause__) is cause
 
 
 def _rebalance_inputs():
