@@ -9,8 +9,10 @@ Every stage's matching quality and retry count is recorded in a trace.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
+
+import numpy as np
 
 from .counting import _embeddings
 from .errors import InputError, ProcedureError
@@ -26,7 +28,6 @@ from .matching import (
 from .randtree import sample_tree
 from .rng import stream
 from .trees import (
-    DOWN,
     RootedOrientedTree,
     TreePiece,
     quarter_decomposition,
@@ -65,21 +66,9 @@ def validate_embedding(
     g: Digraph, t: RootedOrientedTree, mapping: dict[int, int]
 ) -> bool:
     """True iff the map is injective and sends every tree edge to a host arc."""
-    if set(mapping) != set(range(t.n)):
+    if set(mapping) != set(range(t.n)) or len(set(mapping.values())) != t.n:
         return False
-    if len(set(mapping.values())) != t.n:
-        return False
-    for v in range(t.n):
-        if v == t.root:
-            continue
-        p = t.parent[v]
-        if t.edge_dir[v] == DOWN:
-            ok = g.has_arc(mapping[p], mapping[v])
-        else:
-            ok = g.has_arc(mapping[v], mapping[p])
-        if not ok:
-            return False
-    return True
+    return all(g.has_arc(mapping[u], mapping[v]) for u, v in t.oriented_edges())
 
 
 def run_pipeline(
@@ -91,10 +80,14 @@ def run_pipeline(
 ) -> PipelineTrace:
     """Embed t into g stage by stage.
 
-    Every ProcedureError raised once the stages begin, a failed re-solve
-    of a shrunken host included, carries the trace so far as ``trace`` in
-    its diagnostics.  A rebuilt host that the solver rejects as input
-    (a vertex left without arcs) also fails as a ProcedureError.
+    A ProcedureError raised inside a stage, a failed re-solve of a shrunken
+    host included, is raised again with the stage index as ``stage`` and
+    the trace so far as ``trace`` in its diagnostics; its ``__cause__`` is
+    the error the stage hit.  A rebuilt host that the solver rejects as
+    input (a vertex left without arcs) fails the same way, with the
+    solver's InputError as the cause.  A reserved branch that cannot be
+    placed, and an assembled map that fails validation, carry ``trace``
+    but no ``stage``.  Failures before the stages begin carry neither.
     """
     n = g.n
     if t.n > n:
@@ -150,7 +143,6 @@ def run_pipeline(
     dec = quarter_decomposition(trunk, n0=n)
 
     mapping: dict[int, int] = {}           # tree-vertex (original) -> host id
-    used_host: set[int] = set()
     stages: list[StageRecord] = []
     cur_to_orig: list[int] = list(range(n))
     cur_g = g
@@ -165,130 +157,108 @@ def run_pipeline(
         )
 
     for idx, piece in enumerate(dec.pieces):
-        if cur_x is None:
-            try:
-                cur_x, _ = max_entropy_matching(cur_g)
-            except ProcedureError as exc:
-                raise ProcedureError(
-                    str(exc), **exc.diagnostics, stage=idx, trace=partial_trace()
-                ) from exc
-            except InputError as exc:
-                # a rebuilt host can leave a vertex with no arcs; the
-                # caller's input was valid, so this is a failed stage
-                raise ProcedureError(
-                    str(exc), stage=idx, trace=partial_trace()
-                ) from exc
-            cur_h = matching_entropy(cur_x)
-            method = "scaling"
-        if idx == 0:
-            root_cur = int(rng.integers(0, cur_g.n))
-        else:
-            # the augmented root is the attach vertex u, always last id
-            root_cur = cur_g.n - 1
-        retries = 0
-        real = None
-        while retries < retry_budget:
-            if idx == 0 and retries > 0:
-                root_cur = int(rng.integers(0, cur_g.n))
-            cand = sample_tree(cur_g, cur_x, piece.tree, root_cur, rng)
-            retries += 1
-            if cand.self_avoiding:
-                real = cand
-                break
-        if real is None:
-            raise ProcedureError(
-                f"retry budget exhausted at stage {idx}",
-                stage=idx, retries=retries, trace=partial_trace(),
-            )
-        # the piece tree's BFS order is its local ids, so real.images lines
-        # up with piece.vertices
-        for v, host_cur in zip(piece.vertices, real.images):
-            tree_id = trunk_ids[v]
-            host_orig = cur_to_orig[host_cur]
-            if tree_id in mapping:
-                # overlap vertex: the forced root must agree with its image
-                if mapping[tree_id] != host_orig:
-                    raise ProcedureError(
-                        "anchor image mismatch", stage=idx, vertex=tree_id,
-                        trace=partial_trace(),
-                    )
-                continue
-            mapping[tree_id] = host_orig
-            used_host.add(host_orig)
-        stages.append(StageRecord(
-            index=idx,
-            piece_size=piece.size,
-            host_size=cur_g.n,
-            matching_method=method,
-            b_normality=normality(cur_x).b_min,
-            entropy=cur_h,
-            sum_residual=float(max(
-                abs(cur_x.weights.sum(axis=1) - 1.0).max(),
-                abs(cur_x.weights.sum(axis=0) - 1.0).max(),
-            )),
-            epsilon=epsilon_of(cur_g).epsilon_float,
-            retries=retries,
-            root_image=cur_to_orig[real.images[0]],
-            images=tuple(cur_to_orig[i] for i in real.images),
-        ))
-        if idx + 1 >= len(dec.pieces):
-            break
-        # prepare the next host: drop every used vertex, re-attach the next
-        # anchor's image as a fresh vertex with its surviving neighborhoods
-        next_piece = dec.pieces[idx + 1]
-        anchor_orig = mapping[trunk_ids[next_piece.root]]
-        removed_cur = sorted(
-            i for i, orig in enumerate(cur_to_orig) if orig in used_host
-        )
-        survivors = [
-            orig for i, orig in enumerate(cur_to_orig) if orig not in used_host
-        ]
-        surviving_set = set(survivors)
-        attach_out = [v for v in g.out_adj[anchor_orig] if v in surviving_set]
-        attach_in = [v for v in g.in_adj[anchor_orig] if v in surviving_set]
-        if not attach_out or not attach_in:
-            raise ProcedureError(
-                "anchor lost all surviving neighbors on one side",
-                stage=idx, anchor=anchor_orig, trace=partial_trace(),
-            )
-        orig_to_cur = {orig: i for i, orig in enumerate(cur_to_orig)}
         try:
-            res = rebalance_after_removal(
-                cur_x,
-                removed_cur,
-                attach_out=[orig_to_cur[v] for v in attach_out],
-                attach_in=[orig_to_cur[v] for v in attach_in],
+            if cur_x is None:
+                try:
+                    cur_x, _ = max_entropy_matching(cur_g)
+                except InputError as exc:
+                    # a rebuilt host can leave a vertex with no arcs; the
+                    # caller's input was valid, so this is a failed stage
+                    raise ProcedureError(str(exc)) from exc
+                cur_h = matching_entropy(cur_x)
+                method = "scaling"
+            # stage 0 starts anywhere; later stages at the augmented root,
+            # the attach vertex u, always the last id
+            root_cur = int(rng.integers(0, cur_g.n)) if idx == 0 else cur_g.n - 1
+            for retries in range(1, retry_budget + 1):
+                if idx == 0 and retries > 1:
+                    root_cur = int(rng.integers(0, cur_g.n))
+                real = sample_tree(cur_g, cur_x, piece.tree, root_cur, rng)
+                if real.self_avoiding:
+                    break
+            else:
+                raise ProcedureError(
+                    f"retry budget exhausted at stage {idx}",
+                    retries=max(retry_budget, 0),
+                )
+            images = [cur_to_orig[i] for i in real.images]
+            # the piece tree's BFS order is its local ids, so images line up
+            # with piece.vertices; an overlap vertex is mapped already, and
+            # the forced root must agree with its image
+            for v, host in zip(piece.vertices, images):
+                if mapping.setdefault(trunk_ids[v], host) != host:
+                    raise ProcedureError(
+                        "anchor image mismatch", vertex=trunk_ids[v]
+                    )
+            stages.append(StageRecord(
+                index=idx,
+                piece_size=piece.size,
+                host_size=cur_g.n,
+                matching_method=method,
+                b_normality=normality(cur_x).b_min,
                 entropy=cur_h,
-            )
-            cur_g = res.matching.host
-            cur_x = res.matching
-            cur_h = res.report.entropy
-            method = "rebalance"
-        except ProcedureError:
-            # the attached vertex's arcs are g's arcs between the anchor and
-            # the survivors, so the host is g induced on survivors + anchor
-            cur_g = induced_subgraph(g, survivors + [anchor_orig])[0]
-            cur_x = None
-            method = "scaling"
-        cur_to_orig = survivors + [anchor_orig]
+                sum_residual=float(max(
+                    abs(cur_x.weights.sum(axis=1) - 1.0).max(),
+                    abs(cur_x.weights.sum(axis=0) - 1.0).max(),
+                )),
+                epsilon=epsilon_of(cur_g).epsilon_float,
+                retries=retries,
+                root_image=images[0],
+                images=tuple(images),
+            ))
+            if idx + 1 == len(dec.pieces):
+                break
+            # prepare the next host: drop every used vertex, re-attach the
+            # next anchor's image as a fresh vertex with its surviving
+            # neighborhoods, both in current ids
+            anchor = mapping[trunk_ids[dec.pieces[idx + 1].root]]
+            used = set(mapping.values())
+            alive = np.array([orig not in used for orig in cur_to_orig])
+            attach_out = np.flatnonzero(alive & g.mask[anchor, cur_to_orig])
+            attach_in = np.flatnonzero(alive & g.mask[cur_to_orig, anchor])
+            if not attach_out.size or not attach_in.size:
+                raise ProcedureError(
+                    "anchor lost all surviving neighbors on one side",
+                    anchor=anchor,
+                )
+            survivors = [orig for orig in cur_to_orig if orig not in used]
+            try:
+                res = rebalance_after_removal(
+                    cur_x,
+                    np.flatnonzero(~alive).tolist(),
+                    attach_out=attach_out.tolist(),
+                    attach_in=attach_in.tolist(),
+                    entropy=cur_h,
+                )
+                cur_g, cur_x = res.matching.host, res.matching
+                cur_h = res.report.entropy
+                method = "rebalance"
+            except ProcedureError:
+                # the attached vertex's arcs are g's arcs between the anchor
+                # and the survivors, so the host is g induced on survivors +
+                # anchor
+                cur_g = induced_subgraph(g, survivors + [anchor])[0]
+                cur_x = None
+            cur_to_orig = survivors + [anchor]
+        except ProcedureError as exc:
+            raise ProcedureError(
+                str(exc), **exc.diagnostics, stage=idx, trace=partial_trace()
+            ) from (exc.__cause__ or exc)
 
     if completion is not None:
-        leftover = [v for v in range(n) if v not in used_host]
-        attach_img = mapping[completion.root]
-        sub, relabel = induced_subgraph(g, leftover + [attach_img])
-        # root the completion at the attach image, branch hanging below it;
+        used = set(mapping.values())
+        # the attach image is the last host, the root of the search
+        hosts = [v for v in range(n) if v not in used] + [mapping[completion.root]]
+        sub = induced_subgraph(g, hosts)[0]
         # the completion tree's BFS order is its local ids 0..k-1
-        image = next(
-            _embeddings(sub, completion.tree, [relabel[attach_img]]), None
-        )
+        image = next(_embeddings(sub, completion.tree, [len(hosts) - 1]), None)
         if image is None:
             raise ProcedureError(
                 "no completion embedding for the reserved branch",
                 trace=partial_trace(),
             )
-        inv = {new: orig for orig, new in relabel.items()}
         for tree_id, host_cur in zip(completion.vertices[1:], image[1:]):
-            mapping[tree_id] = inv[host_cur]
+            mapping[tree_id] = hosts[host_cur]
     if not validate_embedding(g, t, mapping):
         raise ProcedureError(
             "assembled map failed replay validation", trace=partial_trace()
@@ -300,27 +270,6 @@ def run_pipeline(
 
 
 def trace_to_json(trace: PipelineTrace) -> str:
-    payload = {
-        "success": trace.success,
-        "spanning": trace.spanning,
-        "trunk_threshold": trace.trunk_threshold,
-        "notes": list(trace.notes),
-        "mapping": {str(k): v for k, v in sorted(trace.mapping.items())},
-        "stages": [
-            {
-                "index": s.index,
-                "piece_size": s.piece_size,
-                "host_size": s.host_size,
-                "matching_method": s.matching_method,
-                "b_normality": s.b_normality,
-                "entropy": s.entropy,
-                "sum_residual": s.sum_residual,
-                "epsilon": s.epsilon,
-                "retries": s.retries,
-                "root_image": s.root_image,
-                "images": list(s.images),
-            }
-            for s in trace.stages
-        ],
-    }
+    payload = asdict(trace)
+    payload["mapping"] = {str(k): v for k, v in trace.mapping.items()}
     return dumps(payload)

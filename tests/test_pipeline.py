@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from helpers import random_dense_digraph, random_tree
+from treecount import pipeline
 from treecount.errors import InputError, ProcedureError
 from treecount.graphs import complete_digraph, directed_cycle
 from treecount.pipeline import run_pipeline, trace_to_json, validate_embedding
+from treecount.randtree import sample_tree
 from treecount.trees import RootedOrientedTree, path_tree
 
 
@@ -112,6 +114,30 @@ def test_resolve_of_host_with_isolated_vertex_is_procedure_error():
     trace = diag["trace"]
     assert not trace.success
     assert len(trace.stages) == diag["stage"] > 0
+
+
+def test_sampler_failure_carries_stage_and_trace(monkeypatch):
+    # a ProcedureError from the sampler at stage 2 is raised again with
+    # the stage and the two stages already placed
+    placed = []
+
+    def sample(*args):
+        if len(placed) == 2:
+            raise ProcedureError("sampler failed", reason="test")
+        draw = sample_tree(*args)
+        if draw.self_avoiding:
+            placed.append(draw)
+        return draw
+
+    monkeypatch.setattr(pipeline, "sample_tree", sample)
+    with pytest.raises(ProcedureError) as info:
+        run_pipeline(complete_digraph(40), path_tree(40), seed=0)
+    assert str(info.value) == "sampler failed"
+    diag = info.value.diagnostics
+    assert diag["stage"] == 2 and diag["reason"] == "test"
+    assert not diag["trace"].success
+    assert [s.index for s in diag["trace"].stages] == [0, 1]
+    assert str(info.value.__cause__) == "sampler failed"
 
 
 def test_direct_placement_of_deep_path():
