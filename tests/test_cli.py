@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from helpers import random_dense_digraph, random_tree
-from treecount import cli
+from treecount import cli, counting
 from treecount.cli import main
 from treecount.graphs import Digraph, complete_digraph, directed_cycle, write_graph_text
 from treecount.trees import path_tree, write_tree_text
@@ -106,6 +106,26 @@ def test_count_estimate_solves_once(tmp_path, path5_file, monkeypatch):
     out = str(tmp_path / "count.json")
     assert main(["count", str(g), path5_file, "--mode", "estimate",
                  "--samples", "100", "--out", out]) == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("mode", ["brute", "estimate"])
+def test_count_computes_automorphisms_once(tmp_path, path5_file, monkeypatch, mode):
+    calls = []
+
+    def aut(*args, **kwargs):
+        calls.append(args)
+        return automorphism_count(*args, **kwargs)
+
+    automorphism_count = counting.automorphism_count
+    for module in (counting, cli):
+        monkeypatch.setattr(module, "automorphism_count", aut)
+    g = tmp_path / "k6.txt"
+    g.write_text(write_graph_text(complete_digraph(6)))
+    out = tmp_path / "count.json"
+    assert main(["count", str(g), path5_file, "--mode", mode,
+                 "--samples", "100", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["aut"] == 1  # a directed path
     assert len(calls) == 1
 
 
