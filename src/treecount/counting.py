@@ -23,6 +23,7 @@ import io
 import itertools
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 from typing import Iterable, Iterator, Optional
 
 import numpy as np
@@ -353,14 +354,8 @@ def estimate_copies(
 
 
 def _normal_quantile(confidence: float) -> float:
-    # two-sided; inverse error function via Newton on the CDF
-    p = 0.5 + confidence / 2.0
-    z = 0.0
-    for _ in range(60):
-        cdf = 0.5 * (1.0 + math.erf(z / math.sqrt(2)))
-        pdf = math.exp(-z * z / 2.0) / math.sqrt(2 * math.pi)
-        z -= (cdf - p) / pdf
-    return z
+    # two-sided: the z with P(|Z| <= z) = confidence
+    return NormalDist().inv_cdf(0.5 + confidence / 2)
 
 
 # ---------------------------------------------------------------------------

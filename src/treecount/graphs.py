@@ -202,9 +202,7 @@ def remove_vertices(g: Digraph, s: Iterable[int]) -> tuple[Digraph, dict[int, in
     for v in s:
         if not (0 <= v < g.n):
             raise InputError(f"unknown vertex id {v}")
-    keep = [v for v in range(g.n) if v not in s]
-    relabel = {old: new for new, old in enumerate(keep)}
-    return Digraph._from_mask(g.mask[np.ix_(keep, keep)]), relabel
+    return induced_subgraph(g, [v for v in range(g.n) if v not in s])
 
 
 def induced_subgraph(g: Digraph, keep: Sequence[int]) -> tuple[Digraph, dict[int, int]]:

@@ -82,9 +82,6 @@ class RootedOrientedTree:
     def m(self) -> int:
         return self.n - 1
 
-    def degree(self, v: int) -> int:
-        return len(self.children[v]) + (0 if v == self.root else 1)
-
     def max_degree(self) -> int:
         kids = list(map(len, self.children))
         top = max(kids)
