@@ -224,6 +224,29 @@ def test_mixing_output_pinned(tmp_path):
     )
 
 
+@pytest.mark.parametrize("command,digest", [
+    (["count", "--mode", "estimate", "--samples", "5000"],
+     "412c6af052f62dba4b5ae136fafba1f113fbe7587f5932730f306c76583246c3"),
+    (["sample", "--samples", "300", "--start", "3"],
+     "fa21bb31600baa956144e33ac370a1035cb499aff9035aee72d78a1b025cb697"),
+    (["sample", "--samples", "300"],
+     "6b4f6330750a7dccea9442bcf668ceb0b184a82451b9138ebea63e1557218d6f"),
+], ids=["count-estimate", "sample-start", "sample"])
+def test_sampling_output_pinned(tmp_path, command, digest):
+    # SHA-256 of the whole artifact on a fixed 40-vertex host and 12-vertex
+    # tree, recorded while the CLI still split the samples over worker
+    # streams and joined the CSV chunks
+    rng = np.random.default_rng(17)
+    g, t = tmp_path / "g40.txt", tmp_path / "t12.txt"
+    g.write_text(write_graph_text(random_dense_digraph(rng, 40, 30)))
+    t.write_text(write_tree_text(random_tree(rng, 12)))
+    out = tmp_path / "out"
+    name, *flags = command
+    argv = [name, str(g), str(t), *flags, "--seed", "11", "--out", str(out)]
+    assert main(argv) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 def test_decompose_command(tmp_path):
     tree = tmp_path / "p16.txt"
     tree.write_text(write_tree_text(path_tree(16)))
