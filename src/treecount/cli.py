@@ -30,7 +30,7 @@ from .graphs import Digraph, Graph, double_orient, parse_graph_text
 from .jsontext import dumps as _json
 from .matching import matching_entropy, max_entropy_matching, normality
 from .pipeline import run_pipeline, trace_to_json
-from .randtree import batch_to_csv, mixing_check, sample_trees_batch, split_samples
+from .randtree import batch_to_csv, mixing_check, sample_trees_batch
 from .trees import (
     DOWN,
     automorphism_count,  # noqa: F401  -- the benchmark's tracer wraps cli.automorphism_count
@@ -83,9 +83,7 @@ def cmd_count(args) -> int:
     else:
         # the estimator samples from the matching, so it needs the solve
         x, _ = max_entropy_matching(g, tol=args.tol)
-        rep = estimate_copies(
-            g, x, t, samples=args.samples, seed=args.seed, workers=args.workers
-        )
+        rep = estimate_copies(g, x, t, samples=args.samples, seed=args.seed)
         h, note = matching_entropy(x), bound_note(g, t)
     bound = directed_lower_bound(
         BoundInputs(n=g.n, h=h, eps=args.eps, aut=rep.aut)
@@ -107,14 +105,10 @@ def cmd_sample(args) -> int:
     g = _read_graph(args.graph)
     t = _read_tree(args.tree)
     x, _ = max_entropy_matching(g, tol=args.tol)
-    chunks = []
-    for w, k in split_samples(args.samples, args.workers).items():
-        batch = sample_trees_batch(
-            g, x, t, samples=k, seed=args.seed, worker=w, start=args.start
-        )
-        text = batch_to_csv(batch)
-        chunks.append(text if not chunks else text.split("\n", 1)[1])
-    _emit(args, "".join(chunks), "samples.csv")
+    batch = sample_trees_batch(
+        g, x, t, samples=args.samples, seed=args.seed, start=args.start
+    )
+    _emit(args, batch_to_csv(batch), "samples.csv")
     return 0
 
 
@@ -189,9 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
     options = {
         "--seed": dict(type=int, default=0),
         "--samples": dict(type=int, default=10000),
-        "--workers": dict(type=int, default=1, help=(
-            "random-stream partitions, run one after another, not in "
-            "parallel: worker w draws from the Philox key (seed, w)")),
         "--tol": dict(type=float, default=1e-10),
         "--eps": dict(type=float, default=0.0),
         "--format": dict(choices=("json", "csv"), default="json"),
@@ -218,10 +209,10 @@ def build_parser() -> argparse.ArgumentParser:
     command("entropy", cmd_entropy, "max-entropy matching of a graph",
             ["graph"], ["--tol"])
     command("count", cmd_count, "count copies of a tree", ["graph", "tree"],
-            ["--mode", "--tol", "--eps", "--samples", "--seed", "--workers"])
+            ["--mode", "--tol", "--eps", "--samples", "--seed"])
     command("sample", cmd_sample, "sample random tree embeddings",
             ["graph", "tree"],
-            ["--tol", "--samples", "--seed", "--workers", "--start"])
+            ["--tol", "--samples", "--seed", "--start"])
     command("mixing", cmd_mixing, "walk-marginal mixing report",
             ["graph"], ["--tol", "--t-min", "--t-max"])
     command("decompose", cmd_decompose, "quarter-power tree decomposition",

@@ -23,7 +23,6 @@ import io
 import itertools
 import math
 from dataclasses import dataclass
-from statistics import NormalDist
 from typing import Iterable, Iterator, Optional
 
 import numpy as np
@@ -38,11 +37,12 @@ from .matching import (
     matching_entropy,
     normality,  # noqa: F401  -- the benchmark's tracer wraps counting.normality
 )
-from .randtree import sample_trees_batch, split_samples
+from .randtree import sample_trees_batch
 from .trees import DOWN, RootedOrientedTree, _reroot, automorphism_count
 
 LOG2_E = math.log2(math.e)
 _DEFAULT_BUDGET = 50_000_000
+_Z_95 = 1.959963984540054    # two-sided: P(|Z| <= z) = 0.95
 
 
 @dataclass(frozen=True)
@@ -319,43 +319,28 @@ def estimate_copies(
     t: RootedOrientedTree,
     samples: int,
     seed: int,
-    workers: int = 1,
-    confidence: float = 0.95,
 ) -> CountReport:
     """Unbiased importance-sampling estimate of the labelled copy count.
 
     Each sample draws a uniform root image and then a random embedding; an
     injective outcome is sampled with probability exactly its transition
     product over n, so 1_{injective} * n * 2^{-log_prob} averages to the
-    labelled count.
+    labelled count.  All samples come from one batch on the stream
+    (seed, 0), and the interval is the normal 95% one, mean +- z * se.
     """
     if not x.weights[x.host.mask].all():
         raise InputError(
             "matching has zero-weight arcs; the estimator would be biased"
         )
-    weights = []
-    for w_idx, k in split_samples(samples, workers).items():
-        batch = sample_trees_batch(g, x, t, k, seed, worker=w_idx, start=None)
-        vals = np.where(
-            batch.self_avoiding,
-            g.n * np.exp2(-batch.log_probs),
-            0.0,
-        )
-        weights.append(vals)
-    vals = np.concatenate(weights)
+    batch = sample_trees_batch(g, x, t, samples, seed)
+    vals = np.where(batch.self_avoiding, g.n * np.exp2(-batch.log_probs), 0.0)
     mean = float(vals.mean())
     se = float(vals.std(ddof=1) / math.sqrt(len(vals))) if len(vals) > 1 else 0.0
-    zq = 1.959963984540054 if confidence == 0.95 else _normal_quantile(confidence)
-    ci = (mean - zq * se, mean + zq * se, confidence)
+    ci = (mean - _Z_95 * se, mean + _Z_95 * se, 0.95)
     aut = automorphism_count(t, rooted=False, respect_orientation=True)
     return CountReport(
         labelled=mean, unlabelled=mean / aut, method="estimator", ci=ci, aut=aut
     )
-
-
-def _normal_quantile(confidence: float) -> float:
-    # two-sided: the z with P(|Z| <= z) = confidence
-    return NormalDist().inv_cdf(0.5 + confidence / 2)
 
 
 # ---------------------------------------------------------------------------

@@ -716,6 +716,8 @@ def parse_pfm_text(text: str) -> PFM:
         n, m = int(head[1]), int(head[2])
     except ValueError:
         raise ParseError(1, "non-integer vertex/arc count") from None
+    if n < 0 or m < 0:
+        raise ParseError(1, "negative vertex/arc count")
     found = sum(1 for ln in lines[1:] if ln.strip())  # blank lines do not count
     if found != m:
         raise ParseError(len(lines), f"expected {m} arc lines, found {found}")
@@ -740,6 +742,8 @@ def parse_pfm_text(text: str) -> PFM:
             raise ParseError(idx, f"duplicate arc {u} {v}")
         if wt < 0:
             raise ParseError(idx, "negative weight")
+        if not math.isfinite(wt):
+            raise ParseError(idx, "arc weights must be finite")
         seen.add((u, v))
         arcs.append((u, v))
         w[u, v] = wt

@@ -348,20 +348,6 @@ def _distinct_rows(images: np.ndarray) -> np.ndarray:
     return out
 
 
-def split_samples(samples: int, workers: int) -> dict[int, int]:
-    """Sample counts by worker index, split as evenly as possible.
-
-    The first samples % workers workers take one more sample, and workers
-    left without one are omitted.  Workers partition the random stream,
-    they do not run in parallel: worker w draws its share from the Philox
-    key (seed, w), one worker after another.
-    """
-    if samples < 1 or workers < 1:
-        raise InputError("need samples >= 1 and workers >= 1")
-    base, extra = divmod(samples, workers)
-    return {w: base + (w < extra) for w in range(min(samples, workers))}
-
-
 def walk_pattern(
     g: Digraph,
     x: PerfectFractionalMatching,

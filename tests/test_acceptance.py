@@ -364,6 +364,6 @@ def test_c13_determinism():
     json_b = trace_to_json(run_pipeline(g, t_span, seed=14))
     assert json_a == json_b
 
-    rep_a = estimate_copies(g, x, t, samples=2000, seed=15, workers=2)
-    rep_b = estimate_copies(g, x, t, samples=2000, seed=15, workers=2)
+    rep_a = estimate_copies(g, x, t, samples=2000, seed=15)
+    rep_b = estimate_copies(g, x, t, samples=2000, seed=15)
     assert rep_a == rep_b

@@ -141,6 +141,15 @@ def test_unread_flags_rejected(argv, capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["sample", "count"])
+def test_workers_flag_refused(command, capsys):
+    # every estimate and sample draws one batch from the stream (seed, 0)
+    with pytest.raises(SystemExit) as exc:
+        main([command, "g.txt", "t.txt", "--workers", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+
+
 def test_rejected_argv_leaves_the_parser_as_it_was(tmp_path, path5_file, capsys):
     # main builds its parser once per process and reuses it
     outs = [tmp_path / "a.json", tmp_path / "b.json"]
@@ -191,9 +200,7 @@ def test_sample_command_deterministic(tmp_path, k6_file, path5_file):
     assert header == "seed,worker,images,log_prob,self_avoiding"
 
 
-@pytest.mark.parametrize("counts", [
-    ["--workers", "0"], ["--samples", "0"], ["--workers", "-1"],
-])
+@pytest.mark.parametrize("counts", [["--samples", "0"]])
 def test_sample_bad_counts_exit_2(tmp_path, k6_file, path5_file, counts, capsys):
     out = tmp_path / "s.csv"
     args = ["sample", k6_file, path5_file, *counts, "--out", str(out)]

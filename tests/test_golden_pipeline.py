@@ -97,18 +97,6 @@ def test_pipeline_image_digest(n, host_seed, seed):
     assert digest == IMAGE_DIGESTS[n, host_seed, seed]
 
 
-def test_fixed_failing_case_message():
-    # the benchmark's fixed failing embed case: the rebalance gives up and
-    # the re-solve of the shrunken host hits its iteration cap
-    g = random_dense_digraph(np.random.default_rng(120), 120, 72)
-    t = random_tree(np.random.default_rng(1002), 120, max_deg=8)
-    with pytest.raises(ProcedureError) as info:
-        run_pipeline(g, t, seed=2)
-    assert str(info.value) == "scaling did not converge in 1000 iterations"
-    assert info.value.diagnostics["iterations"] == 1000
-    assert info.value.diagnostics["residual"] == 0.0008571353590960396
-
-
 def _embed_pool_case(case_id: int):
     # drawn as the benchmark's embed workload draws pool case case_id
     rng = np.random.default_rng([0xE3BED, case_id])
@@ -117,6 +105,8 @@ def _embed_pool_case(case_id: int):
 
 
 def _fixed_failing_case():
+    # the benchmark's fixed failing embed case: the rebalance gives up and
+    # the re-solve of the shrunken host hits its iteration cap
     g = random_dense_digraph(np.random.default_rng(120), 120, 72)
     t = random_tree(np.random.default_rng(1002), 120, max_deg=8)
     return g, t, 2
@@ -154,6 +144,13 @@ def test_failed_pipeline_outcome(case, message, rest, digest, cause):
     assert not trace.success
     assert _sha(trace_to_json(trace).encode()) == digest
     assert type(info.value.__cause__) is cause
+    if "stage" in rest:
+        # every stage before the failed one is recorded, and the mapping
+        # holds only their images
+        assert trace.spanning
+        assert [s.index for s in trace.stages] == list(range(rest["stage"]))
+        images = {v for s in trace.stages for v in s.images}
+        assert set(trace.mapping.values()) <= images
 
 
 def _rebalance_inputs():

@@ -493,6 +493,19 @@ def test_pfm_rejects_weights_that_are_not_finite(bad):
         parse_pfm_text(f"pfm 2 2\n0 1 {bad}\n1 0 1\n")
 
 
+@pytest.mark.parametrize("text,message", [
+    ("pfm -1 0\n", "line 1: negative vertex/arc count"),
+    ("pfm 2 -1\n", "line 1: negative vertex/arc count"),
+    ("pfm 2 2\n0 1 nan\n1 0 1\n", "line 2: arc weights must be finite"),
+    ("pfm 2 2\n0 1 1\n\n1 0 inf\n", "line 4: arc weights must be finite"),
+    ("pfm 2 2\n0 1 -inf\n1 0 1\n", "line 2: negative weight"),
+], ids=["negative-n", "negative-m", "nan", "inf", "minus-inf"])
+def test_pfm_parse_errors_name_their_line(text, message):
+    with pytest.raises(ParseError) as exc:
+        parse_pfm_text(text)
+    assert str(exc.value) == message
+
+
 def test_pfm_parse_errors_count_blank_lines():
     with pytest.raises(ParseError) as exc:
         parse_pfm_text("pfm 2 2\n0 1 1\n\n\n1 0 -1\n")

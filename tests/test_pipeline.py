@@ -82,25 +82,6 @@ def test_validate_embedding_rejects_bad_maps():
                                   {0: 0, 1: 1, 2: 2})
 
 
-def test_resolve_failure_keeps_partial_trace():
-    # the benchmark's fixed failing case: the rebalance gives up and the
-    # re-solve of the shrunken host hits its iteration cap
-    g = random_dense_digraph(np.random.default_rng(120), 120, 72)
-    t = random_tree(np.random.default_rng(1002), 120, max_deg=8)
-    with pytest.raises(ProcedureError) as info:
-        run_pipeline(g, t, seed=2)
-    assert str(info.value) == "scaling did not converge in 1000 iterations"
-    diag = info.value.diagnostics
-    assert diag["iterations"] == 1000
-    trace = diag["trace"]
-    assert not trace.success and trace.spanning
-    # every stage before the failed one is recorded; the failed one re-solves
-    assert len(trace.stages) == diag["stage"] > 0
-    assert [s.index for s in trace.stages] == list(range(diag["stage"]))
-    images = [v for s in trace.stages for v in s.images]
-    assert set(trace.mapping.values()) <= set(images)
-
-
 def test_resolve_of_host_with_isolated_vertex_is_procedure_error():
     # embed pool id 51: the rebuilt host has a vertex with no neighbours
     rng = np.random.default_rng([0xE3BED, 51])

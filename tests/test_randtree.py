@@ -30,7 +30,6 @@ from treecount.randtree import (
     sample_tree,
     sample_trees_batch,
     self_avoiding_reference_bound,
-    split_samples,
     walk_pattern,
 )
 from treecount.trees import DOWN, UP, RootedOrientedTree, path_tree, star_tree
@@ -489,15 +488,6 @@ def test_zero_total_row_raises_on_both_paths(d):
             _draw(x, t, np.array([4]), Uniforms([u]))
     with pytest.raises(ProcedureError, match="zero-weight arc"):
         sample_tree(x.host, x, t, 4, seed=0)
-
-
-def test_split_samples():
-    assert split_samples(7, 3) == {0: 3, 1: 2, 2: 2}
-    assert split_samples(2, 3) == {0: 1, 1: 1}
-    assert split_samples(5, 1) == {0: 5}
-    for samples, workers in [(0, 1), (1, 0), (3, -1)]:
-        with pytest.raises(InputError):
-            split_samples(samples, workers)
 
 
 def test_batch_csv():
