@@ -105,9 +105,7 @@ def cmd_sample(args) -> int:
     g = _read_graph(args.graph)
     t = _read_tree(args.tree)
     x, _ = max_entropy_matching(g, tol=args.tol)
-    batch = sample_trees_batch(
-        g, x, t, samples=args.samples, seed=args.seed, start=args.start
-    )
+    batch = sample_trees_batch(g, x, t, args.samples, args.seed, start=args.start)
     _emit(args, batch_to_csv(batch), "samples.csv")
     return 0
 
