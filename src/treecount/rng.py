@@ -2,7 +2,7 @@
 
 Every stream is a Philox generator keyed by (seed, worker), so a
 (seed, worker, draw-index) triple fully determines each sample and
-two worker indices never share state.
+distinct worker indices never share state.
 """
 
 from __future__ import annotations
