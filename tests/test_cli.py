@@ -200,7 +200,7 @@ def test_sample_command_deterministic(tmp_path, k6_file, path5_file):
     assert header == "seed,worker,images,log_prob,self_avoiding"
 
 
-@pytest.mark.parametrize("counts", [["--samples", "0"]])
+@pytest.mark.parametrize("counts", [["--samples", "-1"], ["--samples", "0"]])
 def test_sample_bad_counts_exit_2(tmp_path, k6_file, path5_file, counts, capsys):
     out = tmp_path / "s.csv"
     args = ["sample", k6_file, path5_file, *counts, "--out", str(out)]
