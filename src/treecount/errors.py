@@ -1,6 +1,11 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the line reader that
+frames every text format: a ``<kind> <int> <int>`` header, then a known
+count of nonblank record lines, refused at the file's own line numbers.
+"""
 
 from __future__ import annotations
+
+from typing import Iterator
 
 
 class InputError(ValueError):
@@ -25,3 +30,36 @@ class ProcedureError(RuntimeError):
     def __init__(self, message: str, **diagnostics):
         super().__init__(message)
         self.diagnostics = diagnostics
+
+
+def read_header(
+    text: str, kinds: tuple[str, ...], usage: str, counts: str
+) -> tuple[list[str], str, int, int]:
+    """Split ``text`` into lines and read its header ``<kind> <a> <b>``."""
+    lines = text.splitlines()
+    if not lines:
+        raise ParseError(1, "empty input")
+    head = lines[0].split()
+    if len(head) != 3 or head[0] not in kinds:
+        raise ParseError(1, f"expected header {usage}")
+    try:
+        return lines, head[0], int(head[1]), int(head[2])
+    except ValueError:
+        raise ParseError(1, f"non-integer {counts}") from None
+
+
+def read_body(
+    lines: list[str], expected: int, noun: str, fields: str
+) -> Iterator[tuple[int, list[str]]]:
+    """Yield (line number, tokens) per nonblank record, once the count is checked."""
+    found = sum(1 for ln in lines[1:] if ln.strip())
+    if found != expected:
+        raise ParseError(len(lines), f"expected {expected} {noun} lines, found {found}")
+    width = len(fields.split())
+    for no, ln in enumerate(lines[1:], 2):
+        tokens = ln.split()
+        if not tokens:
+            continue
+        if len(tokens) != width:
+            raise ParseError(no, f"expected '{fields}'")
+        yield no, tokens

@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import InputError, ParseError
+from .errors import InputError, ParseError, read_body, read_header
 
 
 def _row_lists(mask: np.ndarray) -> tuple[tuple[int, ...], ...]:
@@ -147,9 +147,6 @@ class Graph:
         self.edges = frozenset(edge_set)
         self.adj = tuple(tuple(sorted(a)) for a in adj)
 
-    def deg(self, v: int) -> int:
-        return len(self.adj[v])
-
     @property
     def m(self) -> int:
         return len(self.edges)
@@ -244,31 +241,15 @@ def complete_graph(n: int) -> Graph:
 # ---------------------------------------------------------------------------
 
 def parse_graph_text(text: str) -> Digraph | Graph:
-    lines = text.splitlines()
-    if not lines:
-        raise ParseError(1, "empty input")
-    head = lines[0].split()
-    if len(head) != 3 or head[0] not in ("digraph", "graph"):
-        raise ParseError(1, "expected header 'digraph <n> <m>' or 'graph <n> <m>'")
-    try:
-        n, m = int(head[1]), int(head[2])
-    except ValueError:
-        raise ParseError(1, "non-integer vertex/edge count") from None
+    lines, kind, n, m = read_header(
+        text, ("digraph", "graph"), "'digraph <n> <m>' or 'graph <n> <m>'",
+        "vertex/edge count",
+    )
     if n < 0 or m < 0:
         raise ParseError(1, "negative vertex/edge count")
-    directed = head[0] == "digraph"
-    found = sum(1 for ln in lines[1:] if ln.strip())  # blank lines do not count
-    if found != m:
-        raise ParseError(len(lines), f"expected {m} edge lines, found {found}")
-    seen = set()
-    edges = []
-    # idx is the file's own 1-based line number, blank lines included
-    for idx, ln in enumerate(lines[1:], start=2):
-        parts = ln.split()
-        if not parts:
-            continue
-        if len(parts) != 2:
-            raise ParseError(idx, "expected '<u> <v>'")
+    directed = kind == "digraph"
+    edges = set()  # an undirected edge is kept as (min, max)
+    for idx, parts in read_body(lines, m, "edge", "<u> <v>"):
         try:
             u, v = int(parts[0]), int(parts[1])
         except ValueError:
@@ -278,10 +259,9 @@ def parse_graph_text(text: str) -> Digraph | Graph:
         if u == v:
             raise ParseError(idx, "self-loop")
         key = (u, v) if directed else (min(u, v), max(u, v))
-        if key in seen:
+        if key in edges:
             raise ParseError(idx, f"duplicate edge {u} {v}")
-        seen.add(key)
-        edges.append((u, v))
+        edges.add(key)
     return Digraph(n, edges) if directed else Graph(n, edges)
 
 

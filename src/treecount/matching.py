@@ -19,7 +19,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import InputError, ParseError, ProcedureError
+from .errors import InputError, ParseError, ProcedureError, read_body, read_header
 from .graphs import Digraph, epsilon_of
 
 ROWSUM_TOL = 1e-9
@@ -47,12 +47,14 @@ class PerfectFractionalMatching:
         if np.any(w[off] != 0.0):
             raise InputError("nonzero weight on a non-arc")
         if n > 0:
-            bad_out = np.abs(w.sum(axis=1) - 1.0)
-            bad_in = np.abs(w.sum(axis=0) - 1.0)
-            worst = float(max(bad_out.max(), bad_in.max()))
-            if worst > tol:
+            # out-sums then in-sums, so k < n names an out-sum
+            residual = np.abs(np.concatenate([w.sum(axis=1), w.sum(axis=0)]) - 1.0)
+            k = int(residual.argmax())
+            if residual[k] > tol:
                 raise InputError(
-                    f"unit-sum invariant violated: max residual {worst:.3e} > {tol}"
+                    f"unit-sum invariant violated at vertex {k % n} "
+                    f"({'out' if k < n else 'in'}): "
+                    f"max residual {residual[k]:.3e} > {tol}"
                 )
         w.setflags(write=False)
         self.host = host
@@ -706,31 +708,13 @@ def write_pfm_text(x: PFM) -> str:
 
 
 def parse_pfm_text(text: str) -> PFM:
-    lines = text.splitlines()
-    if not lines:
-        raise ParseError(1, "empty input")
-    head = lines[0].split()
-    if len(head) != 3 or head[0] != "pfm":
-        raise ParseError(1, "expected header 'pfm <n> <m>'")
-    try:
-        n, m = int(head[1]), int(head[2])
-    except ValueError:
-        raise ParseError(1, "non-integer vertex/arc count") from None
+    """Read a matching; a refusal of the whole matching names no line."""
+    lines, _, n, m = read_header(text, ("pfm",), "'pfm <n> <m>'", "vertex/arc count")
     if n < 0 or m < 0:
         raise ParseError(1, "negative vertex/arc count")
-    found = sum(1 for ln in lines[1:] if ln.strip())  # blank lines do not count
-    if found != m:
-        raise ParseError(len(lines), f"expected {m} arc lines, found {found}")
     w = np.zeros((n, n))
-    arcs = []
-    seen = set()
-    # idx is the file's own 1-based line number, blank lines included
-    for idx, ln in enumerate(lines[1:], start=2):
-        parts = ln.split()
-        if not parts:
-            continue
-        if len(parts) != 3:
-            raise ParseError(idx, "expected '<u> <v> <weight>'")
+    arcs = set()
+    for idx, parts in read_body(lines, m, "arc", "<u> <v> <weight>"):
         try:
             u, v = int(parts[0]), int(parts[1])
             wt = float(parts[2])
@@ -738,16 +722,12 @@ def parse_pfm_text(text: str) -> PFM:
             raise ParseError(idx, "malformed arc line") from None
         if not (0 <= u < n and 0 <= v < n) or u == v:
             raise ParseError(idx, "bad arc endpoints")
-        if (u, v) in seen:
+        if (u, v) in arcs:
             raise ParseError(idx, f"duplicate arc {u} {v}")
         if wt < 0:
             raise ParseError(idx, "negative weight")
         if not math.isfinite(wt):
             raise ParseError(idx, "arc weights must be finite")
-        seen.add((u, v))
-        arcs.append((u, v))
+        arcs.add((u, v))
         w[u, v] = wt
-    try:
-        return PFM(Digraph(n, arcs), w)
-    except InputError as exc:
-        raise ParseError(len(lines), str(exc)) from None
+    return PFM(Digraph(n, arcs), w)

@@ -116,7 +116,7 @@ def run_pipeline(
     if spanning:
         threshold = trunk_threshold or min(DEFAULT_TRUNK_THRESHOLD, t.n)
         split = split_trunk(t, threshold)
-        if split.degenerate or split.trunk is None:
+        if split.trunk is None:
             # the whole tree is small enough to place exhaustively
             start = int(rng.integers(0, n))
             image = next(_embeddings(g, t, [start, *range(n)]), None)

@@ -382,9 +382,6 @@ class MarginalTable:
         if np.abs(sums - 1.0).max() > MARGINAL_TOL:
             raise InputError("marginal rows must each sum to 1")
 
-    def row(self, bfs_position: int) -> np.ndarray:
-        return self.rows[bfs_position]
-
 
 def marginals(
     g: Digraph,

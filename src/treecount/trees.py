@@ -16,7 +16,7 @@ from typing import Container, Optional, Sequence
 
 import numpy as np
 
-from .errors import InputError, ParseError
+from .errors import InputError, ParseError, read_body, read_header
 
 DOWN = "down"  # arc parent -> child
 UP = "up"      # arc child -> parent
@@ -563,30 +563,12 @@ class AsymptoticParams:
 # ---------------------------------------------------------------------------
 
 def parse_tree_text(text: str) -> RootedOrientedTree:
-    lines = text.splitlines()
-    if not lines:
-        raise ParseError(1, "empty input")
-    head = lines[0].split()
-    if len(head) != 3 or head[0] != "tree":
-        raise ParseError(1, "expected header 'tree <n> <root>'")
-    try:
-        n, root = int(head[1]), int(head[2])
-    except ValueError:
-        raise ParseError(1, "non-integer count/root") from None
+    lines, _, n, root = read_header(text, ("tree",), "'tree <n> <root>'", "count/root")
     if not (0 <= root < n):
         raise ParseError(1, "root out of range")
-    found = sum(1 for ln in lines[1:] if ln.strip())  # blank lines do not count
-    if found != n - 1:
-        raise ParseError(len(lines), f"expected {n - 1} edge lines, found {found}")
     parent = [-1] * n
     edge_dir: list[Optional[str]] = [None] * n
-    # idx is the file's own 1-based line number, blank lines included
-    for idx, ln in enumerate(lines[1:], start=2):
-        parts = ln.split()
-        if not parts:
-            continue
-        if len(parts) != 3:
-            raise ParseError(idx, "expected '<child> <parent> <dir>'")
+    for idx, parts in read_body(lines, n - 1, "edge", "<child> <parent> <dir>"):
         try:
             c, p = int(parts[0]), int(parts[1])
         except ValueError:

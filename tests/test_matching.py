@@ -506,6 +506,23 @@ def test_pfm_parse_errors_name_their_line(text, message):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("text,message", [
+    ("pfm 3 3\n0 1 1\n1 2 1\n2 0 0.25\n\n",
+     "unit-sum invariant violated at vertex 2 (out): max residual 7.500e-01 > 1e-09"),
+    ("pfm 2 2\n0 1 0.5\n1 0 1\n",
+     "unit-sum invariant violated at vertex 0 (out): max residual 5.000e-01 > 1e-09"),
+    ("pfm 3 3\n0 1 1\n1 2 1\n2 1 1\n",
+     "unit-sum invariant violated at vertex 0 (in): max residual 1.000e+00 > 1e-09"),
+    ("pfm 1 0\n",
+     "unit-sum invariant violated at vertex 0 (out): max residual 1.000e+00 > 1e-09"),
+], ids=["blank-last-line", "half-row", "in-sum", "no-arcs"])
+def test_pfm_refusal_of_the_whole_matching_names_no_line(text, message):
+    with pytest.raises(InputError) as exc:
+        parse_pfm_text(text)
+    assert not isinstance(exc.value, ParseError)
+    assert str(exc.value) == message
+
+
 def test_pfm_parse_errors_count_blank_lines():
     with pytest.raises(ParseError) as exc:
         parse_pfm_text("pfm 2 2\n0 1 1\n\n\n1 0 -1\n")
