@@ -433,17 +433,33 @@ def absorbing_pair_search(
 # ---------------------------------------------------------------------------
 
 def count_hamilton_cycles(g: Graph) -> int:
-    """Number of distinct Hamilton cycles (as unlabelled subgraphs)."""
+    """Number of distinct Hamilton cycles (as unlabelled subgraphs).
+
+    Held-Karp path counts over Python integers, in O(2^n n^2) steps:
+    ``paths[s][v]`` counts the paths that start at vertex 0 and visit
+    exactly 0 and the set s of other vertices, ending at v in s (vertex
+    v >= 1 is bit v - 1).  A full path whose end is adjacent to 0 closes a
+    cycle, and each cycle is closed once per direction.
+    """
     n = g.n
     if n < 3:
         return 0
-    adj = [set(a) for a in g.adj]
-    count = 0
-    for perm in itertools.permutations(range(1, n)):
-        seq = (0,) + perm
-        if all(seq[i + 1] in adj[seq[i]] for i in range(n - 1)) and seq[-1] in adj[0]:
-            count += 1
-    return count // 2
+    m = n - 1
+    # each vertex's neighbours other than 0, as a bit set
+    nbrs = [sum(1 << (u - 1) for u in g.adj[v] if u) for v in range(n)]
+    paths = [[0] * m for _ in range(1 << m)]
+    for v in range(m):
+        if nbrs[0] >> v & 1:
+            paths[1 << v][v] = 1
+    for s, row in enumerate(paths):
+        for v, c in enumerate(row):
+            if c:
+                free = nbrs[v + 1] & ~s
+                while free:
+                    low = free & -free
+                    paths[s | low][low.bit_length() - 1] += c
+                    free ^= low
+    return sum(c for v, c in enumerate(paths[-1]) if nbrs[0] >> v & 1) // 2
 
 
 # ---------------------------------------------------------------------------

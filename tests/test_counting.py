@@ -26,6 +26,7 @@ from treecount.counting import (
 from treecount.errors import InputError, ProcedureError
 from treecount.graphs import (
     Digraph,
+    Graph,
     complete_digraph,
     complete_graph,
     directed_cycle,
@@ -438,10 +439,34 @@ def test_absorbing_pair_guards():
         absorbing_pair_search(complete_digraph(4), path_tree(2), 5, 1)
 
 
+def permutation_hamilton_cycles(g):
+    """Reference count: every vertex order that starts at 0, halved."""
+    if g.n < 3:
+        return 0
+    adj = [set(a) for a in g.adj]
+    count = 0
+    for perm in itertools.permutations(range(1, g.n)):
+        seq = (0,) + perm + (0,)
+        count += all(seq[i + 1] in adj[seq[i]] for i in range(g.n))
+    return count // 2
+
+
 def test_hamilton_cycles():
     assert count_hamilton_cycles(complete_graph(6)) == 60
     assert count_hamilton_cycles(complete_graph(5)) == 12
     assert count_hamilton_cycles(complete_graph(2)) == 0
+    for n in range(3, 13):
+        assert count_hamilton_cycles(complete_graph(n)) == math.factorial(n - 1) // 2
+    rng = np.random.default_rng(44)
+    counts = []
+    for _ in range(60):
+        n = int(rng.integers(1, 9))
+        edges = [(u, v) for u, v in itertools.combinations(range(n), 2)
+                 if rng.random() < 0.6]
+        g = Graph(n, edges)
+        counts.append(count_hamilton_cycles(g))
+        assert counts[-1] == permutation_hamilton_cycles(g)
+    assert 0 in counts and len(set(counts)) > 5
 
 
 def test_verify_bound_experiment_k5():

@@ -18,6 +18,7 @@ from treecount.matching import (
 from treecount.randtree import (
     ExpectednessThresholds,
     _draw,
+    _image_dtype,
     Realisation,
     batch_to_csv,
     exact_tree_entropy,
@@ -297,6 +298,38 @@ def test_single_draw_reads_only_the_rows_it_uses():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+def test_batch_images_are_two_bytes_per_cell():
+    # 50,000 x 30 images take 2.9 MiB as uint16 and 11.4 MiB as int64
+    x = uniform_matching(100)
+    t = path_tree(30)
+    # a first batch loads numpy's random modules and warms the allocator
+    sample_trees_batch(x.host, x, t, 1000, seed=0)
+    tracemalloc.start()
+    try:
+        sample_trees_batch(x.host, x, t, 50_000, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
+@pytest.mark.parametrize("n,dtype", [
+    (255, np.uint16), (256, np.uint16), (65_536, np.uint16),
+    (65_537, np.uint32),
+])
+def test_image_dtype_holds_every_host_vertex(n, dtype):
+    assert _image_dtype(n) == dtype
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_draw_returns_image_dtype_on_both_paths(k):
+    x = uniform_matching(300)
+    t = path_tree(6, [DOWN, UP, UP, DOWN, UP])
+    images, _ = _draw(x, t, np.arange(k) + 256, np.random.default_rng(k))
+    assert images.dtype == _image_dtype(300) == np.uint16
+    assert images.shape == (k, 6) and images[:, 0].tolist() == list(range(256, 256 + k))
 
 
 def complex_key_draw(x, t, roots, rng):
