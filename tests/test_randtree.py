@@ -8,6 +8,7 @@ import pytest
 
 from helpers import random_dense_digraph, random_tree
 from treecount.entropy import plugin_entropy
+from treecount import randtree
 from treecount.errors import InputError, ProcedureError
 from treecount.graphs import Digraph, complete_digraph, directed_cycle
 from treecount.matching import (
@@ -18,7 +19,6 @@ from treecount.matching import (
 from treecount.randtree import (
     ExpectednessThresholds,
     _draw,
-    _image_dtype,
     Realisation,
     batch_to_csv,
     exact_tree_entropy,
@@ -129,8 +129,6 @@ def test_batch_respects_arcs():
 
 def test_batch_heap_trim_changes_no_draw(monkeypatch):
     import platform
-
-    from treecount import randtree
 
     if platform.libc_ver()[0] == "glibc":
         assert randtree._malloc_trim is not None
@@ -320,7 +318,7 @@ def test_batch_images_are_two_bytes_per_cell():
     (65_537, np.uint32),
 ])
 def test_image_dtype_holds_every_host_vertex(n, dtype):
-    assert _image_dtype(n) == dtype
+    assert randtree._image_dtype(n) == dtype
 
 
 @pytest.mark.parametrize("k", [1, 2])
@@ -328,7 +326,7 @@ def test_draw_returns_image_dtype_on_both_paths(k):
     x = uniform_matching(300)
     t = path_tree(6, [DOWN, UP, UP, DOWN, UP])
     images, _ = _draw(x, t, np.arange(k) + 256, np.random.default_rng(k))
-    assert images.dtype == _image_dtype(300) == np.uint16
+    assert images.dtype == randtree._image_dtype(300) == np.uint16
     assert images.shape == (k, 6) and images[:, 0].tolist() == list(range(256, 256 + k))
 
 
