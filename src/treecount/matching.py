@@ -209,16 +209,17 @@ def digraph_entropy(g: Digraph) -> float:
 # 4-cycle shifts
 # ---------------------------------------------------------------------------
 
+def _product_alpha(a: float, b: float, c: float, d: float) -> float:
+    """Shift equating the products of a 4-cycle's losing (a, b) and gaining (c, d) arcs."""
+    denom = a + b + c + d
+    return (a * b - c * d) / denom if denom > 0 else 0.0
+
+
 def max_shift(x: PFM, cycle: tuple[int, int, int, int]) -> float:
     """Largest alpha keeping the product inequality valid after the shift."""
     v, w, u, z = cycle
-    a, b_, c, d = (
-        x.weights[v, w], x.weights[u, z], x.weights[u, w], x.weights[v, z]
-    )
-    denom = a + b_ + c + d
-    if denom == 0:
-        return 0.0
-    alpha = (a * b_ - c * d) / denom
+    a, b_ = x.weights[v, w], x.weights[u, z]
+    alpha = _product_alpha(a, b_, x.weights[u, w], x.weights[v, z])
     return float(max(0.0, min(alpha, a, b_)))
 
 
@@ -325,26 +326,14 @@ class NormalizationReport:
     blended: bool
 
 
-def _heaviest_arc(w: np.ndarray, mask: np.ndarray, thr: float) -> Optional[tuple[int, int]]:
-    over = np.argwhere(mask & (w > thr))
+def _extreme_arc(key: np.ndarray, mask: np.ndarray, thr: float) -> Optional[tuple[int, int]]:
+    """The first arc, row-major, whose key is above thr and within 1e-18 of the largest."""
+    over = np.argwhere(mask & (key > thr))
     if over.size == 0:
         return None
-    vals = w[over[:, 0], over[:, 1]]
-    top = vals.max()
-    cand = over[vals >= top - 1e-18]
-    i = np.lexsort((cand[:, 1], cand[:, 0]))[0]
-    return int(cand[i, 0]), int(cand[i, 1])
-
-
-def _lightest_arc(w: np.ndarray, mask: np.ndarray, thr: float) -> Optional[tuple[int, int]]:
-    under = np.argwhere(mask & (w < thr))
-    if under.size == 0:
-        return None
-    vals = w[under[:, 0], under[:, 1]]
-    bot = vals.min()
-    cand = under[vals <= bot + 1e-18]
-    i = np.lexsort((cand[:, 1], cand[:, 0]))[0]
-    return int(cand[i, 0]), int(cand[i, 1])
+    vals = key[over[:, 0], over[:, 1]]
+    p, w0 = over[np.argmax(vals >= vals.max() - 1e-18)]
+    return int(p), int(w0)
 
 
 def normalize_to_b(
@@ -354,10 +343,12 @@ def normalize_to_b(
 ) -> tuple[PFM, NormalizationReport]:
     """Produce a b-normal matching close in entropy to the input.
 
-    Blends with a near-uniform partner and then repairs out-of-range arcs
-    with weight shifts around 4-cycles, heaviest arc first; the opposite
-    (gaining) arcs of each cycle are restricted to light weights, so every
-    shift keeps all four arcs inside the window once they get there.
+    Blends with a near-uniform partner, then shifts weight around 4-cycles
+    (p, w0, q, z): heaviest arc (p, w0) first while any lies above b/n, then
+    lightest first while any lies below 1/(bn).  A heavy arc loses weight
+    to (q, w0) and (p, z), which must be light; a light one gains it from
+    them.  Each shift stops at the window's edges, so every arc keeps
+    inside the window once it gets there.
     """
     g = m.host
     n = g.n
@@ -396,77 +387,45 @@ def normalize_to_b(
     eps = epsilon_of(g).epsilon_float
     light_thr = (1.0 / (eps * n)) if eps > 0 else hi
 
-    def candidate_alpha(v: int, w0: int, u: int, z: int, goal: float) -> float:
-        a, b_, c_, d = w[v, w0], w[u, z], w[u, w0], w[v, z]
-        denom = a + b_ + c_ + d
-        astar = (a * b_ - c_ * d) / denom if denom > 0 else 0.0
-        return min(goal, astar, b_ - lo, hi - c_, hi - d, a, b_)
-
     rounds = 0
-    while rounds < cfg.max_rounds:
-        heavy = _heaviest_arc(w, mask, hi + 1e-12)
-        if heavy is None:
-            break
-        v, w0 = heavy
-        goal = w[v, w0] - hi
-        best = None
-        best_alpha = 0.0
-        for u in g.in_adj[w0]:
-            if u == v or w[u, w0] > light_thr:
-                continue
-            for z in g.out_adj[u]:
-                if z == w0 or not mask[v, z] or w[v, z] > light_thr:
+    for side in ("heavy", "light"):
+        heavy = side == "heavy"
+        while rounds < cfg.max_rounds:
+            # negated weights make the lightest arc the extreme one
+            key, thr = (w, hi + 1e-12) if heavy else (-w, 1e-12 - lo)
+            arc = _extreme_arc(key, mask, thr)
+            if arc is None:
+                break
+            p, w0 = arc
+            goal = w[p, w0] - hi if heavy else lo - w[p, w0]
+            best = None
+            best_alpha = 0.0
+            # the cycle (v, w0, u, z) moves alpha off (v, w0), (u, z) onto (u, w0), (v, z)
+            for q in g.in_adj[w0]:
+                if q == p or (heavy and w[q, w0] > light_thr):
                     continue
-                alpha = candidate_alpha(v, w0, u, z, goal)
-                if alpha > best_alpha + 1e-18:
-                    best_alpha = alpha
-                    best = (u, z)
-        if best is None or best_alpha <= 1e-15:
-            surviving = [tuple(e) for e in np.argwhere(mask & (w > hi + 1e-12))]
-            raise ProcedureError(
-                "no usable 4-cycle for a surviving heavy arc",
-                heavy_arcs=surviving, b=b,
-            )
-        u, z = best
-        w[v, w0] -= best_alpha
-        w[u, z] -= best_alpha
-        w[u, w0] += best_alpha
-        w[v, z] += best_alpha
-        rounds += 1
-    while rounds < cfg.max_rounds:
-        light = _lightest_arc(w, mask, lo - 1e-12)
-        if light is None:
-            break
-        u, w0 = light
-        goal = lo - w[u, w0]
-        best = None
-        best_alpha = 0.0
-        # raise the light arc by making it a gainer of some cycle (v,w0,u,z)
-        for v in g.in_adj[w0]:
-            if v == u:
-                continue
-            for z in g.out_adj[u]:
-                if z == w0 or not mask[v, z]:
-                    continue
-                a, b_, c_, d = w[v, w0], w[u, z], w[u, w0], w[v, z]
-                denom = a + b_ + c_ + d
-                astar = (a * b_ - c_ * d) / denom if denom > 0 else 0.0
-                alpha = min(goal, astar, a - lo, b_ - lo, hi - c_, hi - d)
-                if alpha > best_alpha + 1e-18:
-                    best_alpha = alpha
-                    best = (v, z)
-        if best is None or best_alpha <= 1e-15:
-            surviving = [tuple(e) for e in np.argwhere(mask & (w < lo - 1e-12))]
-            raise ProcedureError(
-                "no usable 4-cycle for a surviving light arc",
-                light_arcs=surviving, b=b,
-            )
-        v, z = best
-        w[v, w0] -= best_alpha
-        w[u, z] -= best_alpha
-        w[u, w0] += best_alpha
-        w[v, z] += best_alpha
-        rounds += 1
+                v, u = (p, q) if heavy else (q, p)
+                for z in g.out_adj[q]:
+                    if z == w0 or not mask[p, z] or (heavy and w[p, z] > light_thr):
+                        continue
+                    a, b_, c_, d = w[v, w0], w[u, z], w[u, w0], w[v, z]
+                    alpha = min(
+                        goal, _product_alpha(a, b_, c_, d),
+                        a - lo, b_ - lo, hi - c_, hi - d,
+                    )
+                    if alpha > best_alpha + 1e-18:
+                        best_alpha = alpha
+                        best = (v, u, z)
+            if best_alpha <= 1e-15:
+                surviving = [tuple(e) for e in np.argwhere(mask & (key > thr))]
+                raise ProcedureError(
+                    f"no usable 4-cycle for a surviving {side} arc",
+                    **{f"{side}_arcs": surviving}, b=b,
+                )
+            v, u, z = best
+            w[[v, u], [w0, z]] -= best_alpha
+            w[[u, v], [w0, z]] += best_alpha
+            rounds += 1
     out = PFM(g, w)
     rep1 = normality(out)
     if not rep1.within(b, slack=1e-6):
@@ -621,8 +580,8 @@ def rebalance_after_removal(
     w = np.zeros((n_new, n_new))
     w[:kept, :kept] = np.where(mask[:kept, :kept], x.weights[block], 0.0)
     if attach:
-        outs = sorted({relabel[v] for v in attach_out})
-        ins = sorted({relabel[v] for v in attach_in})
+        outs = sorted({relabel[v] for v in attach_out if v in relabel})
+        ins = sorted({relabel[v] for v in attach_in if v in relabel})
         if len(outs) != len(set(attach_out)) or len(ins) != len(set(attach_in)):
             raise InputError("attachment neighborhoods must survive the removal")
         if not outs or not ins:

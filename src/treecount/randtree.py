@@ -559,6 +559,8 @@ def mixing_check(
         t_max = t_min + 20
     if not (1 <= t_min <= t_max):
         raise InputError("need 1 <= t_min <= t_max")
+    if not pattern:
+        raise InputError("pattern must be nonempty")
     _check_inputs(g, x, start)
     eps = float(epsilon_of(g).epsilon_float)
     b = float(normality(x).b_min)

@@ -9,13 +9,15 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import InputError
+
 _WORKER_STRIDE = 2**64
 
 
 def stream(seed: int, worker: int = 0) -> np.random.Generator:
     """Return the RNG stream for the given seed and worker index."""
     if seed < 0 or worker < 0:
-        raise ValueError("seed and worker must be nonnegative")
+        raise InputError("seed and worker must be nonnegative")
     key = (seed % 2**64) + _WORKER_STRIDE * (worker % 2**64)
     return np.random.Generator(np.random.Philox(key=key))
 

@@ -10,7 +10,14 @@ import pytest
 from helpers import random_dense_digraph, random_tree
 from treecount import cli, counting
 from treecount.cli import main
-from treecount.graphs import Digraph, complete_digraph, directed_cycle, write_graph_text
+from treecount.graphs import (
+    Digraph,
+    Graph,
+    complete_digraph,
+    directed_cycle,
+    double_orient,
+    write_graph_text,
+)
 from treecount.trees import path_tree, write_tree_text
 
 
@@ -45,6 +52,36 @@ def test_malformed_input_exit_2(tmp_path, capsys):
 
 def test_missing_file_exit_2(tmp_path):
     assert main(["entropy", str(tmp_path / "nope.txt")]) == 2
+
+
+def test_entropy_reads_a_graph_as_its_double_orientation(tmp_path):
+    dropped = {(0, 1), (2, 3)}
+    g = Graph(7, [(u, v) for u in range(7) for v in range(u + 1, 7) if (u, v) not in dropped])
+    undirected = tmp_path / "g.txt"
+    undirected.write_text(write_graph_text(g))
+    directed = tmp_path / "d.txt"
+    directed.write_text(write_graph_text(double_orient(g)))
+    assert undirected.read_text().startswith("graph 7 19\n")
+    assert directed.read_text().startswith("digraph 7 38\n")
+    reports = []
+    for path in (undirected, directed):
+        out = tmp_path / f"{path.stem}.json"
+        assert main(["entropy", str(path), "--out", str(out)]) == 0
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("command", [
+    ["sample", "--samples", "5"],
+    ["count", "--mode", "estimate", "--samples", "5"],
+    ["pipeline"],
+])
+def test_negative_seed_exit_2(tmp_path, k6_file, path5_file, command, capsys):
+    out = tmp_path / "out.txt"
+    argv = [command[0], k6_file, path5_file, *command[1:], "--seed", "-1", "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: seed and worker must be nonnegative\n"
+    assert not out.exists()
 
 
 def test_count_command_brute(tmp_path, path5_file):

@@ -271,6 +271,12 @@ def test_mixing_complete_host():
     assert any(row.admissible for row in rep.rows)
 
 
+def test_mixing_refuses_empty_pattern():
+    x = uniform_matching(4)
+    with pytest.raises(InputError, match="^pattern must be nonempty$"):
+        mixing_check(x.host, x, [], 0, 1)
+
+
 def test_batch_memory_does_not_scale_with_host_times_samples():
     # the output is 50,000 x 10 images (3.8 MiB); a k x n CDF block per
     # tree edge would take 50,000 x 400 x 8 bytes (153 MiB)
