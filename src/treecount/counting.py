@@ -29,7 +29,7 @@ import numpy as np
 
 from . import matching
 from .errors import InputError, ProcedureError
-from .graphs import Digraph, Graph, double_orient, epsilon_of, induced_subgraph
+from .graphs import Digraph, Graph, double_orient, epsilon_of
 from .matching import (
     SOLVER_TOL,
     PerfectFractionalMatching,
@@ -38,7 +38,7 @@ from .matching import (
     normality,  # noqa: F401  -- the benchmark's tracer wraps counting.normality
 )
 from .randtree import sample_trees_batch
-from .trees import DOWN, RootedOrientedTree, _reroot, automorphism_count
+from .trees import DOWN, RootedOrientedTree, automorphism_count
 
 LOG2_E = math.log2(math.e)
 _DEFAULT_BUDGET = 50_000_000
@@ -375,57 +375,6 @@ def undirected_lower_bound(n: int, h_graph: float, eps: float, aut: int) -> Boun
     """aut^{-1} * 2^{2h - n log2(e) - eps n}; doubling the graph entropy
     reduces exactly to the directed formula."""
     return directed_lower_bound(BoundInputs(n=n, h=2.0 * h_graph, eps=eps, aut=aut))
-
-
-# ---------------------------------------------------------------------------
-# absorbing pairs (exhaustive, desk scale)
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class AbsorbingPair:
-    a_set: tuple[int, ...]
-    vertex: int
-    checks: int
-
-
-def absorbing_pair_search(
-    g: Digraph,
-    t_piece: RootedOrientedTree,
-    t_anchor: int,
-    set_size: int,
-    budget: int = 2_000_000,
-) -> Optional[AbsorbingPair]:
-    """Find (A, v) with v in A, |A| = set_size, such that every superset B
-    of size |t_piece| spans a copy of t_piece mapping t_anchor to v."""
-    if g.n > 12:
-        raise InputError("exhaustive absorbing search is limited to 12 vertices")
-    if not (1 <= set_size <= t_piece.n <= g.n):
-        raise InputError("need 1 <= set_size <= |t_piece| <= |g|")
-    if not (0 <= t_anchor < t_piece.n):
-        raise InputError(f"unknown anchor vertex {t_anchor}")
-    rooted = _reroot(t_piece, t_anchor)
-    checks = 0
-    verts = list(range(g.n))
-    for v in verts:
-        others = [u for u in verts if u != v]
-        for rest in itertools.combinations(others, set_size - 1):
-            a_set = tuple(sorted((v,) + rest))
-            pool = [u for u in verts if u not in a_set]
-            good = True
-            for extra in itertools.combinations(pool, t_piece.n - set_size):
-                checks += 1
-                if checks > budget:
-                    raise ProcedureError(
-                        "absorbing search budget exceeded", checks=checks
-                    )
-                b_set = sorted(a_set + extra)
-                sub, relabel = induced_subgraph(g, b_set)
-                if next(_embeddings(sub, rooted, [relabel[v]]), None) is None:
-                    good = False
-                    break
-            if good:
-                return AbsorbingPair(a_set=a_set, vertex=v, checks=checks)
-    return None
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,6 @@
 """Discrete entropy utilities, base-2 throughout.
 
-Includes numeric verifiers for the conditioning gap of a likely event and
-the two-sided martingale tail bound.
+Includes a numeric verifier for the conditioning gap of a likely event.
 """
 
 from __future__ import annotations
@@ -101,15 +100,6 @@ def entropy_gap_bound(
     gap = entropy(d) - conditional_entropy(d, e)
     bound = 2.0 * a * math.log2(A)
     return GapVerdict(gap=gap, bound=bound, holds=gap <= bound + tol)
-
-
-def azuma_tail(k: int, c: float, t: float) -> float:
-    """Two-sided tail bound 2 exp(-t^2 / (2 k c^2)) for bounded increments."""
-    if k < 1:
-        raise InputError("k must be at least 1")
-    if c <= 0 or t <= 0:
-        raise InputError("c and t must be positive")
-    return 2.0 * math.exp(-(t * t) / (2.0 * k * c * c))
 
 
 def plugin_entropy(samples: Sequence) -> float:

@@ -58,9 +58,8 @@ class Digraph:
 
         Trusted: nothing is checked, so the caller guarantees a square bool
         array with a False diagonal.  The callers pass a block of an
-        existing host's mask (``induced_subgraph``, ``remove_vertices``) or
-        such a block plus an attached vertex
-        (``matching.rebalance_after_removal``).  The digraph takes the array
+        existing host's mask (``induced_subgraph``) or such a block plus an
+        attached vertex (``matching.rebalance_after_removal``).  The digraph takes the array
         over and makes it read-only.
         """
         self = cls.__new__(cls)
@@ -191,15 +190,6 @@ def double_orient(g: Graph) -> Digraph:
         arcs.append((u, v))
         arcs.append((v, u))
     return Digraph(g.n, arcs)
-
-
-def remove_vertices(g: Digraph, s: Iterable[int]) -> tuple[Digraph, dict[int, int]]:
-    """Induced subgraph on V minus s, plus the old->new id map."""
-    s = set(s)
-    for v in s:
-        if not (0 <= v < g.n):
-            raise InputError(f"unknown vertex id {v}")
-    return induced_subgraph(g, [v for v in range(g.n) if v not in s])
 
 
 def induced_subgraph(g: Digraph, keep: Sequence[int]) -> tuple[Digraph, dict[int, int]]:

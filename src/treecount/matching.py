@@ -98,17 +98,6 @@ def vertex_entropy(x: PFM, v: int, side: str) -> float:
     return float(-(row[pos] * np.log2(row[pos])).sum())
 
 
-def subset_entropy(x: PFM, arcs: Iterable[tuple[int, int]]) -> float:
-    total = 0.0
-    for u, v in arcs:
-        if not x.host.has_arc(u, v):
-            raise InputError(f"arc ({u},{v}) not in host")
-        w = x.weights[u, v]
-        if w > 0:
-            total -= w * math.log2(w)
-    return float(total)
-
-
 @dataclass(frozen=True)
 class NormalityReport:
     """Smallest b with 1/(bn) <= x_e <= b/n on every arc of the host."""

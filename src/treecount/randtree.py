@@ -44,7 +44,7 @@ from .errors import InputError, ProcedureError
 from .graphs import Digraph, epsilon_of
 from .matching import PerfectFractionalMatching, normality, vertex_entropy
 from .rng import as_stream
-from .trees import DOWN, UP, RootedOrientedTree, path_tree
+from .trees import DOWN, UP, RootedOrientedTree
 
 MARGINAL_TOL = 1e-10
 
@@ -58,39 +58,10 @@ except (AttributeError, OSError, TypeError):  # not glibc
 
 
 @dataclass(frozen=True)
-class ExpectednessReport:
-    a: float
-    c: float
-    max_set_deviation: float
-    max_weight_deviation: float
-    max_entropy_deviation: float
-    holds: bool
-
-
-@dataclass(frozen=True)
 class Realisation:
     images: tuple[int, ...]      # aligned with the tree's BFS order
     log_prob: float              # base-2 log of the sampling probability
     self_avoiding: bool
-
-
-@dataclass(frozen=True)
-class ExpectednessThresholds:
-    a: float
-    c: float
-
-    def __post_init__(self):
-        if self.a <= 0 or self.c <= 0:
-            raise InputError("thresholds must be positive")
-
-    @classmethod
-    def defaults_for(cls, n_inner: int) -> "ExpectednessThresholds":
-        if n_inner < 2:
-            raise InputError("need at least 2 vertices for default thresholds")
-        root = math.sqrt(math.log(n_inner))
-        a = n_inner ** (0.25 - 1.0 / (17.0 * root))
-        c = n_inner ** (-0.75 - 1.0 / (18.0 * root))
-        return cls(a=a, c=c)
 
 
 def _transition_matrices(
@@ -372,31 +343,6 @@ def _distinct_rows(images: np.ndarray) -> np.ndarray:
     return out
 
 
-def walk_pattern(
-    g: Digraph,
-    x: PerfectFractionalMatching,
-    pattern: Sequence[str],
-    start: int,
-    steps: int,
-    seed,
-) -> tuple[int, ...]:
-    """Random walk following an orientation pattern, cycled if shorter."""
-    if steps < 0:
-        raise InputError("steps must be nonnegative")
-    if steps == 0:
-        _check_inputs(g, x, start)
-        return (start,)
-    if not pattern:
-        raise InputError("pattern must be nonempty")
-    for d in pattern:
-        if d not in (UP, DOWN):
-            raise InputError(f"pattern entries must be 'up' or 'down', got {d!r}")
-    dirs = [pattern[i % len(pattern)] for i in range(steps)]
-    t = path_tree(steps + 1, dirs)
-    r = sample_tree(g, x, t, start, seed)
-    return r.images
-
-
 @dataclass(frozen=True)
 class MarginalTable:
     rows: np.ndarray  # shape (tree size, host size), BFS order
@@ -455,70 +401,9 @@ def hr_lower_bound(m: int, n: int, h_x: float) -> float:
     return (1.0 - 2.0 * math.exp(-math.sqrt(math.log(n)))) * (m / n) * h_x
 
 
-def is_self_avoiding(r: Realisation) -> bool:
-    return len(set(r.images)) == len(r.images)
-
-
 def self_avoiding_reference_bound(m: int, b: float, n: int) -> float:
     """Reference lower bound 1 - m^2 b / n on the self-avoiding probability."""
     return 1.0 - (m * m) * b / n
-
-
-def expectedness(
-    r: Realisation,
-    g_outer: Digraph,
-    inner_vertices: Sequence[int],
-    x: PerfectFractionalMatching,
-    thresholds: ExpectednessThresholds,
-) -> ExpectednessReport:
-    """Strict proportionality verdict for the image set of a realisation.
-
-    inner_vertices maps the inner host's ids (the ids x and r live on) to
-    the outer graph's ids.  The tested set collection consists of every
-    outer vertex's out- and in-neighborhood restricted to the inner hull.
-    """
-    n_inner = len(inner_vertices)
-    if x.n != n_inner:
-        raise InputError("matching host size differs from inner vertex list")
-    inner_set = set(inner_vertices)
-    if len(inner_set) != n_inner:
-        raise InputError("duplicate inner vertex")
-    m_inner = set(r.images)
-    for v in m_inner:
-        if not (0 <= v < n_inner):
-            raise InputError(f"image {v} outside the inner host")
-    m_outer = {inner_vertices[v] for v in m_inner}
-    frac = len(m_inner) / n_inner
-    max_set_dev = 0.0
-    for v in range(g_outer.n):
-        for nbrs in (g_outer.out_adj[v], g_outer.in_adj[v]):
-            s = [w for w in nbrs if w in inner_set]
-            dev = abs(len(m_outer & set(s)) - frac * len(s))
-            max_set_dev = max(max_set_dev, dev)
-    max_w_dev = 0.0
-    max_h_dev = 0.0
-    idx = sorted(m_inner)
-    for v in range(n_inner):
-        for side in ("out", "in"):
-            row = x.weights[v] if side == "out" else x.weights[:, v]
-            w_in = float(row[idx].sum())
-            max_w_dev = max(max_w_dev, abs(w_in - frac))
-            pos = [u for u in idx if row[u] > 0]
-            h_in = float(-(row[pos] * np.log2(row[pos])).sum()) if pos else 0.0
-            h_v = vertex_entropy(x, v, side)
-            max_h_dev = max(max_h_dev, abs(h_in - frac * h_v))
-    holds = (
-        max_set_dev < thresholds.a
-        and max_w_dev < thresholds.c
-        and max_h_dev < thresholds.c
-    )
-    return ExpectednessReport(
-        a=thresholds.a, c=thresholds.c,
-        max_set_deviation=max_set_dev,
-        max_weight_deviation=max_w_dev,
-        max_entropy_deviation=max_h_dev,
-        holds=holds,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 from typing import Container, Optional, Sequence
 
@@ -532,29 +532,6 @@ def automorphism_count(
     if not respect_orientation and code1 == code2:
         total *= 2
     return total
-
-
-# ---------------------------------------------------------------------------
-# asymptotic parameter bundle
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class AsymptoticParams:
-    gamma: float
-    n: int
-    delta_cap: float = field(init=False)
-    alpha: float = field(init=False)
-    zeta: float = field(init=False)
-    mu: float = field(init=False)
-
-    def __post_init__(self):
-        if self.n < 2 or self.gamma <= 0:
-            raise InputError("need n >= 2 and gamma > 0")
-        ln_n = math.log(self.n)
-        object.__setattr__(self, "delta_cap", math.exp(self.gamma * math.sqrt(ln_n)))
-        object.__setattr__(self, "alpha", 1.0 / (7000.0 * math.sqrt(ln_n)))
-        object.__setattr__(self, "zeta", 1.0 / math.sqrt(ln_n))
-        object.__setattr__(self, "mu", self.n ** (-1.0 / (7000.0 * math.sqrt(ln_n))))
 
 
 # ---------------------------------------------------------------------------

@@ -9,11 +9,9 @@ import pytest
 from helpers import random_dense_digraph, random_tree
 from treecount import counting
 from treecount.counting import (
-    AbsorbingPair,
     BoundInputs,
     _count_by_subsets,
     _embeddings,
-    absorbing_pair_search,
     count_copies_brute,
     count_hamilton_cycles,
     directed_lower_bound,
@@ -407,36 +405,6 @@ def test_undirected_consistency():
         u = undirected_lower_bound(n, h, eps, aut)
         d = directed_lower_bound(BoundInputs(n=n, h=2 * h, eps=eps, aut=aut))
         assert u.log2 == pytest.approx(d.log2, abs=1e-12)
-
-
-def test_absorbing_pair_complete_host():
-    t = path_tree(2)
-    pair = absorbing_pair_search(complete_digraph(4), t, 0, set_size=1)
-    assert isinstance(pair, AbsorbingPair)
-    assert pair.vertex in pair.a_set and len(pair.a_set) == 1
-
-
-def test_absorbing_pair_exhausted_on_cycle():
-    t = path_tree(2)
-    assert absorbing_pair_search(directed_cycle(4), t, 0, set_size=1) is None
-
-
-def test_absorbing_pair_full_set_reduces_to_brute():
-    g = complete_digraph(4)
-    t = path_tree(3)
-    pair = absorbing_pair_search(g, t, 1, set_size=3)
-    assert pair is not None
-    from treecount.graphs import induced_subgraph
-
-    sub, relabel = induced_subgraph(g, sorted(pair.a_set))
-    assert count_copies_brute(sub, t).labelled >= 1
-
-
-def test_absorbing_pair_guards():
-    with pytest.raises(InputError):
-        absorbing_pair_search(complete_digraph(13), path_tree(2), 0, 1)
-    with pytest.raises(InputError):
-        absorbing_pair_search(complete_digraph(4), path_tree(2), 5, 1)
 
 
 def permutation_hamilton_cycles(g):

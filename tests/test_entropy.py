@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +8,6 @@ from hypothesis import strategies as st
 from treecount.entropy import (
     DiscreteDistribution,
     EventMask,
-    azuma_tail,
     conditional_entropy,
     entropy,
     entropy_gap_bound,
@@ -79,12 +76,6 @@ def test_gap_bound_random(seed):
             break
     verdict = entropy_gap_bound(d, EventMask.of_indices(members, k), A=A)
     assert verdict.holds
-
-
-def test_azuma_tail():
-    assert azuma_tail(4, 1.0, 2.0) == pytest.approx(2 * math.exp(-0.5))
-    with pytest.raises(InputError):
-        azuma_tail(0, 1.0, 1.0)
 
 
 def test_plugin_entropy():

@@ -28,7 +28,6 @@ from treecount.matching import (
     normalize_to_b,
     parse_pfm_text,
     rebalance_after_removal,
-    subset_entropy,
     vertex_entropy,
     write_pfm_text,
 )
@@ -118,10 +117,6 @@ def test_vertex_and_subset_entropy():
     total_in = sum(vertex_entropy(x, v, "in") for v in range(4))
     h = matching_entropy(x)
     assert total_out == pytest.approx(h) and total_in == pytest.approx(h)
-    assert subset_entropy(x, []) == 0.0
-    assert subset_entropy(x, x.support_arcs()) == pytest.approx(h)
-    with pytest.raises(InputError):
-        subset_entropy(x, [(0, 0)])
     # single arc of weight 1/4 contributes 0.5 bits
     g2 = Digraph(4, [(0, 1), (0, 2), (0, 3), (1, 0), (2, 0), (3, 0),
                      (1, 2), (2, 3), (3, 1), (2, 1), (3, 2), (1, 3)])

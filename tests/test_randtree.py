@@ -17,21 +17,16 @@ from treecount.matching import (
     max_entropy_matching,
 )
 from treecount.randtree import (
-    ExpectednessThresholds,
     _draw,
-    Realisation,
     batch_to_csv,
     exact_tree_entropy,
-    expectedness,
     hr_lower_bound,
-    is_self_avoiding,
     marginals,
     mixing_check,
     replay_log_prob,
     sample_tree,
     sample_trees_batch,
     self_avoiding_reference_bound,
-    walk_pattern,
 )
 from treecount.trees import DOWN, UP, RootedOrientedTree, path_tree, star_tree
 
@@ -153,17 +148,6 @@ def test_empirical_transitions_match_matching():
     assert np.abs(p - 0.25).max() <= 3.5 * sigma
 
 
-def test_walk_pattern():
-    x = uniform_matching(3)
-    assert walk_pattern(x.host, x, [DOWN], 1, 0, seed=0) == (1,)
-    seq = walk_pattern(x.host, x, [DOWN, UP], 0, 6, seed=2)
-    assert len(seq) == 7
-    with pytest.raises(InputError):
-        walk_pattern(x.host, x, [], 0, 3, seed=0)
-    with pytest.raises(InputError):
-        walk_pattern(x.host, x, ["left"], 0, 3, seed=0)
-
-
 def test_alternating_pattern_composite_law():
     # two steps (down, up) compose to W @ W.T exactly, checked via marginals
     x = uniform_matching(3)
@@ -229,31 +213,9 @@ def test_hr_lower_bound():
 
 
 def test_self_avoiding():
-    assert is_self_avoiding(Realisation((0, 1, 2), -2.0, True))
-    assert not is_self_avoiding(Realisation((0, 1, 0), -2.0, False))
     assert self_avoiding_reference_bound(6, 50 / 49, 50) == pytest.approx(
         1 - 36 * (50 / 49) / 50
     )
-
-
-def test_expectedness_full_set():
-    x = uniform_matching(6)
-    t = path_tree(6)
-    # a realisation covering every vertex: all set deviations vanish
-    r = Realisation(tuple(range(6)), -5.0, True)
-    thr = ExpectednessThresholds(a=0.5, c=0.5)
-    rep = expectedness(r, x.host, list(range(6)), x, thr)
-    assert rep.max_set_deviation == 0.0
-    assert rep.holds
-
-
-def test_expectedness_thresholds():
-    thr = ExpectednessThresholds.defaults_for(60)
-    root = math.sqrt(math.log(60))
-    assert thr.a == pytest.approx(60 ** (0.25 - 1 / (17 * root)))
-    assert thr.c == pytest.approx(60 ** (-0.75 - 1 / (18 * root)))
-    with pytest.raises(InputError):
-        ExpectednessThresholds(a=0.0, c=1.0)
 
 
 def test_mixing_hypothesis_failure():

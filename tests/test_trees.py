@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-import math
 from collections import deque, namedtuple
 
 import numpy as np
@@ -13,7 +12,6 @@ from treecount.errors import InputError, ParseError
 from treecount.trees import (
     DOWN,
     UP,
-    AsymptoticParams,
     RootedOrientedTree,
     TreePiece,
     _centroids,
@@ -683,15 +681,6 @@ def test_automorphisms_of_deep_trees():
     parent = [-1] + list(range(3999)) + [3999] * 3
     t = RootedOrientedTree(parent, [None] + [DOWN] * 4002)
     assert counts(t) == [6, 6, 6, 6]
-
-
-def test_asymptotic_params():
-    p = AsymptoticParams(gamma=1.0, n=100)
-    assert p.delta_cap == pytest.approx(math.exp(math.sqrt(math.log(100))))
-    assert p.alpha == pytest.approx(1 / (7000 * math.sqrt(math.log(100))))
-    assert p.zeta == pytest.approx(1 / math.sqrt(math.log(100)))
-    with pytest.raises(InputError):
-        AsymptoticParams(gamma=0.0, n=100)
 
 
 def test_tree_text_roundtrip():
