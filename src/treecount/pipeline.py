@@ -119,7 +119,8 @@ def run_pipeline(
         if split.trunk is None:
             # the whole tree is small enough to place exhaustively
             start = int(rng.integers(0, n))
-            image = next(_embeddings(g, t, [start, *range(n)]), None)
+            roots = [start, *range(start), *range(start + 1, n)]
+            image = next(_embeddings(g, t, roots), None)
             if image is None:
                 raise ProcedureError("no embedding exists", stage="direct")
             mapping = {v: image[i] for i, v in enumerate(t.bfs_order)}

@@ -9,7 +9,7 @@ from treecount.errors import InputError, ProcedureError
 from treecount.graphs import complete_digraph, directed_cycle
 from treecount.pipeline import run_pipeline, trace_to_json, validate_embedding
 from treecount.randtree import sample_tree
-from treecount.trees import RootedOrientedTree, path_tree
+from treecount.trees import RootedOrientedTree, path_tree, star_tree
 
 
 def test_single_vertex_trivial():
@@ -119,6 +119,27 @@ def test_sampler_failure_carries_stage_and_trace(monkeypatch):
     assert not diag["trace"].success
     assert [s.index for s in diag["trace"].stages] == [0, 1]
     assert str(info.value.__cause__) == "sampler failed"
+
+
+def test_direct_placement_searches_each_root_once(monkeypatch):
+    # a spanning star splits degenerately, so it is placed directly: in
+    # K_8 it places, and in a thinned 10-vertex host no vertex has
+    # out-degree 9, so every root is searched and refused
+    seen = []
+
+    def recording(g, t, roots, *args, **kwargs):
+        roots = list(roots)
+        seen.append(roots)
+        return real(g, t, roots, *args, **kwargs)
+
+    real = pipeline._embeddings
+    monkeypatch.setattr(pipeline, "_embeddings", recording)
+    trace = run_pipeline(complete_digraph(8), star_tree(7), seed=0)
+    assert "degenerate split: direct placement" in trace.notes
+    g = random_dense_digraph(np.random.default_rng([7, 10]), 10, 6)
+    with pytest.raises(ProcedureError, match="^no embedding exists$"):
+        run_pipeline(g, star_tree(9), seed=0)
+    assert [sorted(roots) for roots in seen] == [list(range(8)), list(range(10))]
 
 
 def test_direct_placement_of_deep_path():
