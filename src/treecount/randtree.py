@@ -461,7 +461,9 @@ def mixing_check(
         d = pattern[(step - 1) % len(pattern)]
         if d not in (UP, DOWN):
             raise InputError(f"pattern entries must be 'up' or 'down', got {d!r}")
-        dist = dist @ trans[d]
+        # einsum, not BLAS gemv: the report is pinned byte for byte, and a
+        # gemv's bits depend on the kernel OpenBLAS picks for the CPU
+        dist = np.einsum("i,ij->j", dist, trans[d])
         if step < t_min:
             continue
         deviation = float(np.abs(g.n * dist - 1.0).max())

@@ -255,8 +255,10 @@ def test_mixing_command(tmp_path, k6_file):
 
 
 def test_mixing_output_pinned(tmp_path):
-    # SHA-256 of the whole report on a fixed 12-vertex host, recorded while
-    # cmd_mixing still spelled out each field of the report
+    # SHA-256 of the whole report on a fixed 12-vertex host, recorded once
+    # mixing_check stepped its distribution by einsum rather than a BLAS
+    # gemv, whose bits depend on the kernel OpenBLAS picks for the CPU; the
+    # same with OPENBLAS_CORETYPE unset, Haswell, Sandybridge and Zen
     g = tmp_path / "g12.txt"
     g.write_text(write_graph_text(
         random_dense_digraph(np.random.default_rng(16), 12, 8)
@@ -264,7 +266,7 @@ def test_mixing_output_pinned(tmp_path):
     out = tmp_path / "mixing.json"
     assert main(["mixing", str(g), "--t-max", "40", "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-        "04cd03c3d9b86b09fb6fceb3b3c1dfbb75b0cd3c45f6a660a50032fd63cb35b1"
+        "2c8cbbe027b3ba48a6597bcf3744c0b42e575618301b173c1f61dcaaeb0e3c20"
     )
 
 
