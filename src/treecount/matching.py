@@ -420,7 +420,7 @@ def normalize_to_b(
     if not rep1.within(b, slack=1e-6):
         raise ProcedureError(
             "round budget exhausted before reaching the window",
-            b_after=rep1.b_min, heavy_arcs=list(rep1.attaining),
+            b_after=rep1.b_min, attaining_arcs=list(rep1.attaining),
         )
     h_after = matching_entropy(out)
     return out, NormalizationReport(
