@@ -59,8 +59,8 @@ class Digraph:
         Trusted: nothing is checked, so the caller guarantees a square bool
         array with a False diagonal.  The callers pass a block of an
         existing host's mask (``induced_subgraph``) or such a block plus an
-        attached vertex (``matching.rebalance_after_removal``).  The digraph takes the array
-        over and makes it read-only.
+        attached vertex (``matching.rebalance_after_removal``).  The digraph
+        takes the array over and makes it read-only.
         """
         self = cls.__new__(cls)
         self.__setstate__(mask)

@@ -255,10 +255,9 @@ def test_mixing_command(tmp_path, k6_file):
 
 
 def test_mixing_output_pinned(tmp_path):
-    # SHA-256 of the whole report on a fixed 12-vertex host, recorded once
-    # mixing_check stepped its distribution by einsum rather than a BLAS
-    # gemv, whose bits depend on the kernel OpenBLAS picks for the CPU; the
-    # same with OPENBLAS_CORETYPE unset, Haswell, Sandybridge and Zen
+    # SHA-256 of the whole report on a fixed 12-vertex host; the same with
+    # OPENBLAS_CORETYPE unset, Haswell, Sandybridge and Zen, since
+    # mixing_check steps by einsum, not by a BLAS gemv
     g = tmp_path / "g12.txt"
     g.write_text(write_graph_text(
         random_dense_digraph(np.random.default_rng(16), 12, 8)
