@@ -11,11 +11,8 @@ from __future__ import annotations
 from .errors import InputError, ParseError, ProcedureError
 from .graphs import (
     Digraph,
-    Graph,
     complete_digraph,
-    complete_graph,
     directed_cycle,
-    double_orient,
     epsilon_of,
     min_semidegree,
     parse_graph_text,
@@ -65,10 +62,10 @@ from .pipeline import run_pipeline, validate_embedding
 __version__ = "0.1.0"
 
 __all__ = [
-    "Digraph", "Graph", "RootedOrientedTree", "PerfectFractionalMatching",
+    "Digraph", "RootedOrientedTree", "PerfectFractionalMatching",
     "InputError", "ParseError", "ProcedureError", "NormalizationConfig",
-    "complete_digraph", "complete_graph", "directed_cycle", "double_orient",
-    "epsilon_of", "min_semidegree", "parse_graph_text", "write_graph_text",
+    "complete_digraph", "directed_cycle", "epsilon_of", "min_semidegree",
+    "parse_graph_text", "write_graph_text",
     "matching_entropy", "max_entropy_matching", "normality", "normalize_to_b",
     "fourcycle_shift", "rebalance_after_removal", "matching_minus_set",
     "parse_pfm_text", "write_pfm_text", "automorphism_count",

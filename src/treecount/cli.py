@@ -26,7 +26,7 @@ from .counting import (
     verify_bound_experiment,
 )
 from .errors import InputError, ProcedureError
-from .graphs import Digraph, Graph, double_orient, parse_graph_text
+from .graphs import Digraph, parse_graph_text
 from .jsontext import dumps as _json
 from .matching import matching_entropy, max_entropy_matching, normality
 from .pipeline import run_pipeline, trace_to_json
@@ -41,10 +41,7 @@ from .trees import (
 
 
 def _read_graph(path: str) -> Digraph:
-    g = parse_graph_text(Path(path).read_text())
-    if isinstance(g, Graph):
-        return double_orient(g)
-    return g
+    return parse_graph_text(Path(path).read_text())
 
 
 def _read_tree(path: str):

@@ -1,4 +1,4 @@
-"""Immutable directed and undirected graph types with semidegree metadata.
+"""The immutable digraph type, its semidegree margin and its text format.
 
 Vertices are dense integer ids 0..n-1.  A digraph is stored as its n x n
 boolean adjacency matrix, ``Digraph.mask``, and nothing else: the hosts
@@ -7,12 +7,12 @@ more than n^2/2 arcs, and a bool matrix is both the smallest form of such
 a host and the one the numpy kernels read.  The arc set and the sorted
 neighbour lists are derived from the mask on first use and cached, so
 iteration order is deterministic, which keeps all downstream sampling
-reproducible.  Self-loops are rejected at construction.
+reproducible.  Self-loops are rejected at construction.  An undirected
+graph is its double orientation: the digraph whose mask is symmetric.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -57,10 +57,10 @@ class Digraph:
         """The digraph whose arcs are the True cells of a square bool matrix.
 
         Trusted: nothing is checked, so the caller guarantees a square bool
-        array with a False diagonal.  The callers pass a block of an
-        existing host's mask (``induced_subgraph``) or such a block plus an
-        attached vertex (``matching.rebalance_after_removal``).  The digraph
-        takes the array over and makes it read-only.
+        array with a False diagonal: a mask filled from checked text lines
+        (``parse_graph_text``), a block of a host's mask (``induced_subgraph``)
+        or one plus an attached vertex (``matching.rebalance_after_removal``).
+        The digraph takes the array over and makes it read-only.
         """
         self = cls.__new__(cls)
         self.__setstate__(mask)
@@ -123,73 +123,11 @@ class Digraph:
         return f"Digraph(n={self.n}, m={self.m})"
 
 
-class Graph:
-    """A simple undirected graph on vertices 0..n-1."""
-
-    __slots__ = ("n", "edges", "adj")
-
-    def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
-        if n < 0:
-            raise InputError("vertex count must be nonnegative")
-        edge_set = set()
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise InputError(f"edge ({u},{v}) out of range for n={n}")
-            if u == v:
-                raise InputError(f"self-loop at vertex {u}")
-            edge_set.add((min(u, v), max(u, v)))
-        adj: list[list[int]] = [[] for _ in range(n)]
-        for u, v in edge_set:
-            adj[u].append(v)
-            adj[v].append(u)
-        self.n = n
-        self.edges = frozenset(edge_set)
-        self.adj = tuple(tuple(sorted(a)) for a in adj)
-
-    @property
-    def m(self) -> int:
-        return len(self.edges)
-
-    def min_degree(self) -> int:
-        if self.n == 0:
-            return 0
-        return min(len(a) for a in self.adj)
-
-    def max_degree(self) -> int:
-        if self.n == 0:
-            return 0
-        return max(len(a) for a in self.adj)
-
-    def __repr__(self) -> str:
-        return f"Graph(n={self.n}, m={self.m})"
-
-
-@dataclass(frozen=True)
-class EpsilonWitness:
-    """The largest epsilon with min-semidegree >= (1/2 + epsilon) * n."""
-
-    n: int
-    epsilon: Fraction
-
-    @property
-    def epsilon_float(self) -> float:
-        return float(self.epsilon)
-
-
 def min_semidegree(g: Digraph) -> int:
     """min over v of min(deg+(v), deg-(v)); 0 for the empty graph."""
     if g.n == 0:
         return 0
     return int(min(g.mask.sum(axis=1).min(), g.mask.sum(axis=0).min()))
-
-
-def double_orient(g: Graph) -> Digraph:
-    """Replace every undirected edge by a pair of antiparallel arcs."""
-    arcs = []
-    for u, v in g.edges:
-        arcs.append((u, v))
-        arcs.append((v, u))
-    return Digraph(g.n, arcs)
 
 
 def induced_subgraph(g: Digraph, keep: Sequence[int]) -> tuple[Digraph, dict[int, int]]:
@@ -204,11 +142,11 @@ def induced_subgraph(g: Digraph, keep: Sequence[int]) -> tuple[Digraph, dict[int
     return Digraph._from_mask(g.mask[np.ix_(keep, keep)]), relabel
 
 
-def epsilon_of(g: Digraph) -> EpsilonWitness:
+def epsilon_of(g: Digraph) -> Fraction:
+    """The largest epsilon with min-semidegree >= (1/2 + epsilon) * n."""
     if g.n == 0:
         raise InputError("epsilon undefined for the empty graph")
-    eps = Fraction(min_semidegree(g), g.n) - Fraction(1, 2)
-    return EpsilonWitness(n=g.n, epsilon=eps)
+    return Fraction(min_semidegree(g), g.n) - Fraction(1, 2)
 
 
 def complete_digraph(n: int) -> Digraph:
@@ -220,25 +158,22 @@ def directed_cycle(n: int) -> Digraph:
     return Digraph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
-def complete_graph(n: int) -> Graph:
-    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
-
-
 # ---------------------------------------------------------------------------
 # edge-list text format:
 #   first line: "digraph <n> <m>" or "graph <n> <m>"
 #   then m lines "<u> <v>" with 0-based ids
 # ---------------------------------------------------------------------------
 
-def parse_graph_text(text: str) -> Digraph | Graph:
+def parse_graph_text(text: str) -> Digraph:
+    """The digraph of an edge-list text; a ``graph`` text gives its double
+    orientation, with both arcs of each edge, so its mask is symmetric."""
     lines, kind, n, m = read_header(
         text, ("digraph", "graph"), "'digraph <n> <m>' or 'graph <n> <m>'",
         "vertex/edge count",
     )
     if n < 0 or m < 0:
         raise ParseError(1, "negative vertex/edge count")
-    directed = kind == "digraph"
-    edges = set()  # an undirected edge is kept as (min, max)
+    mask = np.zeros((n, n), dtype=bool)
     for idx, parts in read_body(lines, m, "edge", "<u> <v>"):
         try:
             u, v = int(parts[0]), int(parts[1])
@@ -248,19 +183,16 @@ def parse_graph_text(text: str) -> Digraph | Graph:
             raise ParseError(idx, f"vertex id out of range 0..{n - 1}")
         if u == v:
             raise ParseError(idx, "self-loop")
-        key = (u, v) if directed else (min(u, v), max(u, v))
-        if key in edges:
+        if mask[u, v]:
             raise ParseError(idx, f"duplicate edge {u} {v}")
-        edges.add(key)
-    return Digraph(n, edges) if directed else Graph(n, edges)
+        mask[u, v] = True
+        if kind == "graph":
+            mask[v, u] = True
+    return Digraph._from_mask(mask)
 
 
-def write_graph_text(g: Digraph | Graph) -> str:
-    if isinstance(g, Digraph):
-        head = f"digraph {g.n} {g.m}"
-    else:
-        head = f"graph {g.n} {g.m}"
-    lines = [head]
-    for u, v in sorted(g.edges):
-        lines.append(f"{u} {v}")
+def write_graph_text(g: Digraph) -> str:
+    """g's ``digraph`` text, arcs ascending; a symmetric g gives both arcs
+    of each edge, so a ``graph`` text reads back as the same digraph."""
+    lines = [f"digraph {g.n} {g.m}", *(f"{u} {v}" for u, v in sorted(g.edges))]
     return "\n".join(lines) + "\n"

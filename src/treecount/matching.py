@@ -188,12 +188,6 @@ def max_entropy_matching(
     return x, cert
 
 
-def digraph_entropy(g: Digraph) -> float:
-    """h(G), the entropy of the maximum-entropy matching."""
-    x, _ = max_entropy_matching(g)
-    return matching_entropy(x)
-
-
 # ---------------------------------------------------------------------------
 # 4-cycle shifts
 # ---------------------------------------------------------------------------
@@ -373,7 +367,7 @@ def normalize_to_b(
     mask = g.mask
     hi = b / n
     lo = 1.0 / (b * n)
-    eps = epsilon_of(g).epsilon_float
+    eps = float(epsilon_of(g))
     light_thr = (1.0 / (eps * n)) if eps > 0 else hi
 
     rounds = 0

@@ -92,7 +92,7 @@ def run_pipeline(
     n = g.n
     if t.n > n:
         raise InputError(f"tree size {t.n} exceeds host size {n}")
-    if epsilon_of(g).epsilon <= 0:
+    if epsilon_of(g) <= 0:
         raise ProcedureError(
             "host minimum semidegree is not above half the order",
             semidegree_deficit=True,
@@ -202,7 +202,7 @@ def run_pipeline(
                     abs(cur_x.weights.sum(axis=1) - 1.0).max(),
                     abs(cur_x.weights.sum(axis=0) - 1.0).max(),
                 )),
-                epsilon=epsilon_of(cur_g).epsilon_float,
+                epsilon=float(epsilon_of(cur_g)),
                 retries=retries,
                 root_image=images[0],
                 images=tuple(images),

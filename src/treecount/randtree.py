@@ -447,7 +447,7 @@ def mixing_check(
     if not pattern:
         raise InputError("pattern must be nonempty")
     _check_inputs(g, x, start)
-    eps = float(epsilon_of(g).epsilon_float)
+    eps = float(epsilon_of(g))
     b = float(normality(x).b_min)
     hypothesis_ok = bool(eps > 0 and math.isfinite(b))
     threshold = (

@@ -33,7 +33,7 @@ from treecount.entropy import (
     entropy_gap_bound,
     plugin_entropy,
 )
-from treecount.graphs import complete_digraph, complete_graph
+from treecount.graphs import complete_digraph
 from treecount.matching import (
     PerfectFractionalMatching,
     fourcycle_shift,
@@ -285,9 +285,9 @@ def test_c09_mixing():
 @criterion("criterion 10 counting")
 def test_c10_counting():
     assert count_copies_brute(complete_digraph(5), path_tree(5)).labelled == 120
-    assert count_hamilton_cycles(complete_graph(6)) == 60
+    assert count_hamilton_cycles(complete_digraph(6)) == 60
     # the 6-cycle has the dihedral automorphism group of order 12
-    assert hamilton_cycle_experiment(complete_graph(6)).aut == 12
+    assert hamilton_cycle_experiment(complete_digraph(6)).aut == 12
 
     rng = np.random.default_rng(110)
     covered = 0
@@ -318,7 +318,7 @@ def test_c11_bound_sanity():
             (n - 1) ** n * math.exp(-n), rel=1e-9
         )
         assert exp.holds and exp.note == ""
-        ham = hamilton_cycle_experiment(complete_graph(n))
+        ham = hamilton_cycle_experiment(complete_digraph(n))
         assert ham.count == math.factorial(n - 1) // 2
         assert ham.bound_value == pytest.approx(
             (n - 1) ** n * math.exp(-n) / (2 * n), rel=1e-6

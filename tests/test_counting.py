@@ -24,9 +24,7 @@ from treecount.counting import (
 from treecount.errors import InputError, ProcedureError
 from treecount.graphs import (
     Digraph,
-    Graph,
     complete_digraph,
-    complete_graph,
     directed_cycle,
 )
 from treecount.matching import max_entropy_matching, normality
@@ -411,7 +409,7 @@ def permutation_hamilton_cycles(g):
     """Reference count: every vertex order that starts at 0, halved."""
     if g.n < 3:
         return 0
-    adj = [set(a) for a in g.adj]
+    adj = [set(a) for a in g.out_adj]
     count = 0
     for perm in itertools.permutations(range(1, g.n)):
         seq = (0,) + perm + (0,)
@@ -420,21 +418,30 @@ def permutation_hamilton_cycles(g):
 
 
 def test_hamilton_cycles():
-    assert count_hamilton_cycles(complete_graph(6)) == 60
-    assert count_hamilton_cycles(complete_graph(5)) == 12
-    assert count_hamilton_cycles(complete_graph(2)) == 0
+    assert count_hamilton_cycles(complete_digraph(6)) == 60
+    assert count_hamilton_cycles(complete_digraph(5)) == 12
+    assert count_hamilton_cycles(complete_digraph(2)) == 0
     for n in range(3, 13):
-        assert count_hamilton_cycles(complete_graph(n)) == math.factorial(n - 1) // 2
+        assert count_hamilton_cycles(complete_digraph(n)) == math.factorial(n - 1) // 2
     rng = np.random.default_rng(44)
     counts = []
     for _ in range(60):
         n = int(rng.integers(1, 9))
         edges = [(u, v) for u, v in itertools.combinations(range(n), 2)
                  if rng.random() < 0.6]
-        g = Graph(n, edges)
+        g = Digraph(n, edges + [(v, u) for u, v in edges])
         counts.append(count_hamilton_cycles(g))
         assert counts[-1] == permutation_hamilton_cycles(g)
     assert 0 in counts and len(set(counts)) > 5
+
+
+def test_hamilton_refuses_an_asymmetric_digraph():
+    g = Digraph(4, [(0, 1), (1, 0), (1, 2), (2, 1), (2, 3), (3, 2), (3, 0)])
+    message = r"^Hamilton cycles need an undirected graph: a symmetric mask$"
+    for check in (count_hamilton_cycles, hamilton_cycle_experiment):
+        with pytest.raises(InputError, match=message):
+            check(g)
+    assert count_hamilton_cycles(Digraph(4, [*g.edges, (0, 3)])) == 1
 
 
 def test_verify_bound_experiment_k5():
@@ -469,8 +476,9 @@ def test_verify_bound_keeps_notes_when_solver_fails():
 
 
 def test_hamilton_experiment_k6():
-    exp = hamilton_cycle_experiment(complete_graph(6))
+    exp = hamilton_cycle_experiment(complete_digraph(6))
     assert exp.count == 60
+    assert exp.m_edges == 15
     assert exp.aut == 12
     assert exp.bound_value == pytest.approx(5 ** 6 * math.e ** -6 / 12, rel=1e-6)
     assert exp.holds
