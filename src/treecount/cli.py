@@ -18,6 +18,7 @@ from .counting import (
     BoundInputs,
     bound_entropy,
     bound_note,
+    brute_budget,
     count_copies_brute,
     count_report_to_dict,
     directed_lower_bound,
@@ -76,7 +77,7 @@ def cmd_count(args) -> int:
     t = _read_tree(args.tree)
     if args.mode == "brute":
         h, note = bound_entropy(g, t, tol=args.tol)
-        rep = count_copies_brute(g, t)
+        rep = count_copies_brute(g, t, budget=brute_budget(g))
     else:
         # the estimator samples from the matching, so it needs the solve
         x, _ = max_entropy_matching(g, tol=args.tol)

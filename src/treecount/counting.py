@@ -261,6 +261,11 @@ def _count_by_subsets(
     return inj, total if visits else None
 
 
+def brute_budget(g: Digraph) -> Optional[int]:
+    """None where the subset DP counts g, as its 2**n rows fix its cost."""
+    return None if g.n <= _SUBSET_MAX_N else _DEFAULT_BUDGET
+
+
 def count_copies_brute(
     g: Digraph,
     t: RootedOrientedTree,
@@ -468,7 +473,7 @@ def verify_bound_experiment(
 ) -> BoundExperiment:
     """Compare the exact unlabelled copy count with the entropy bound."""
     h, note = bound_entropy(g, t)
-    rep = count_copies_brute(g, t)
+    rep = count_copies_brute(g, t, budget=brute_budget(g))
     count, aut = rep.unlabelled, rep.aut
     bound = directed_lower_bound(BoundInputs(n=g.n, h=h, eps=eps, aut=aut))
     ratio = (math.log2(count) - bound.log2) if count > 0 else -math.inf

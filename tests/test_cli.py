@@ -92,6 +92,23 @@ def test_count_command_brute(tmp_path, path5_file):
     assert payload["holds"] and payload["note"] == ""
 
 
+def test_count_and_verify_are_exact_at_13_vertices(tmp_path):
+    # a spanning case that the default search budget refuses; the subset DP
+    # counts it, so both commands succeed with the same exact count
+    rng = np.random.default_rng([7, 13])
+    g, t = tmp_path / "g.txt", tmp_path / "t.txt"
+    g.write_text(write_graph_text(random_dense_digraph(rng, 13, 7, keep_prob=1.0)))
+    t.write_text(write_tree_text(random_tree(rng, 13, max_deg=4)))
+    outs = {}
+    for command in ("count", "verify"):
+        outs[command] = tmp_path / f"{command}.json"
+        assert main([command, str(g), str(t), "--out", str(outs[command])]) == 0
+    count = json.loads(outs["count"].read_text())["count"]
+    verify = json.loads(outs["verify"].read_text())
+    assert count["labelled"] == 9_758_272 and verify["aut"] == 1
+    assert count["unlabelled"] == verify["count"] == 9_758_272
+
+
 def test_count_notes_non_spanning_tree(tmp_path):
     # 1680 copies of the 4-vertex path fall below the spanning bound 1933.9
     g, t = tmp_path / "k8.txt", tmp_path / "p4.txt"

@@ -444,6 +444,33 @@ def test_hamilton_refuses_an_asymmetric_digraph():
     assert count_hamilton_cycles(Digraph(4, [*g.edges, (0, 3)])) == 1
 
 
+# labelled copies of a spanning random_tree(max_deg=4) in a host thinned
+# from K_n to minimum semidegree n // 2 + 1, drawn from default_rng([7, n])
+SPANNING_COUNTS = {13: 9_758_272, 14: 139_284_716, 15: 474_654_951, 16: 10_194_927_108}
+
+
+def _spanning_case(n):
+    rng = np.random.default_rng([7, n])
+    g = random_dense_digraph(rng, n, n // 2 + 1, keep_prob=1.0)
+    return g, random_tree(rng, n, max_deg=4)
+
+
+@pytest.mark.parametrize("n", sorted(SPANNING_COUNTS))
+def test_verify_is_exact_up_to_16_vertices(n):
+    # the subset DP counts these without a search budget; the default
+    # budget of count_copies_brute refuses every one of them
+    exp = verify_bound_experiment(*_spanning_case(n))
+    assert exp.count * exp.aut == SPANNING_COUNTS[n]
+    assert exp.holds and exp.note == ""
+
+
+def test_count_copies_brute_keeps_its_default_budget():
+    with pytest.raises(ProcedureError, match="^backtracking budget exceeded"):
+        count_copies_brute(*_spanning_case(13))
+    assert counting.brute_budget(complete_digraph(16)) is None
+    assert counting.brute_budget(complete_digraph(17)) == counting._DEFAULT_BUDGET
+
+
 def test_verify_bound_experiment_k5():
     exp = verify_bound_experiment(complete_digraph(5), path_tree(5))
     assert exp.count == 120
