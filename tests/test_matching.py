@@ -201,7 +201,10 @@ def test_solver_dominates_other_matchings():
 
 
 def test_solver_failure_on_infeasible_support():
-    # two vertices feeding a single sink cannot both have unit out-weight
+    # the host has the perfect matching 0->3, 1->2, 2->1, 3->0, but 1's only
+    # arc is 1->2, so the arcs 0->2 and 3->2 lie on no perfect matching: it
+    # lacks total support, and the scaling drives them to zero without
+    # converging
     g = Digraph(4, [(0, 2), (1, 2), (2, 0), (2, 1), (3, 0), (0, 3), (3, 2)])
     with pytest.raises((ProcedureError, InputError)):
         max_entropy_matching(g, max_iters=500)
