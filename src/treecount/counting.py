@@ -485,10 +485,7 @@ def verify_bound_experiment(
 
 
 def hamilton_cycle_experiment(g: Digraph, eps: float = 0.0) -> BoundExperiment:
-    """Undirected variant: Hamilton cycles against the doubled-entropy bound.
-
-    g is the graph's double orientation, as in ``count_hamilton_cycles``.
-    """
+    """Hamilton cycles of the graph doubly oriented as g, against the doubled-entropy bound."""
     count = count_hamilton_cycles(g)
     x, _ = matching.max_entropy_matching(g)
     h_graph = matching_entropy(x) / 2.0

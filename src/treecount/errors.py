@@ -51,15 +51,18 @@ def read_header(
 def read_body(
     lines: list[str], expected: int, noun: str, fields: str
 ) -> Iterator[tuple[int, list[str]]]:
-    """Yield (line number, tokens) per nonblank record, once the count is checked."""
+    """(line number, tokens) per nonblank record; the count is checked first, at the call."""
     found = sum(1 for ln in lines[1:] if ln.strip())
     if found != expected:
         raise ParseError(len(lines), f"expected {expected} {noun} lines, found {found}")
     width = len(fields.split())
-    for no, ln in enumerate(lines[1:], 2):
-        tokens = ln.split()
-        if not tokens:
-            continue
-        if len(tokens) != width:
-            raise ParseError(no, f"expected '{fields}'")
-        yield no, tokens
+
+    def records():
+        for no, ln in enumerate(lines[1:], 2):
+            tokens = ln.split()
+            if not tokens:
+                continue
+            if len(tokens) != width:
+                raise ParseError(no, f"expected '{fields}'")
+            yield no, tokens
+    return records()

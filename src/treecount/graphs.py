@@ -165,16 +165,16 @@ def directed_cycle(n: int) -> Digraph:
 # ---------------------------------------------------------------------------
 
 def parse_graph_text(text: str) -> Digraph:
-    """The digraph of an edge-list text; a ``graph`` text gives its double
-    orientation, with both arcs of each edge, so its mask is symmetric."""
+    """The digraph of an edge-list text; a ``graph`` text gives its double orientation."""
     lines, kind, n, m = read_header(
         text, ("digraph", "graph"), "'digraph <n> <m>' or 'graph <n> <m>'",
         "vertex/edge count",
     )
     if n < 0 or m < 0:
         raise ParseError(1, "negative vertex/edge count")
+    body = read_body(lines, m, "edge", "<u> <v>")
     mask = np.zeros((n, n), dtype=bool)
-    for idx, parts in read_body(lines, m, "edge", "<u> <v>"):
+    for idx, parts in body:
         try:
             u, v = int(parts[0]), int(parts[1])
         except ValueError:
@@ -192,7 +192,6 @@ def parse_graph_text(text: str) -> Digraph:
 
 
 def write_graph_text(g: Digraph) -> str:
-    """g's ``digraph`` text, arcs ascending; a symmetric g gives both arcs
-    of each edge, so a ``graph`` text reads back as the same digraph."""
+    """g's ``digraph`` text, arcs ascending: a ``graph`` text is written as its 2m arcs."""
     lines = [f"digraph {g.n} {g.m}", *(f"{u} {v}" for u, v in sorted(g.edges))]
     return "\n".join(lines) + "\n"

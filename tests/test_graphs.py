@@ -98,6 +98,12 @@ def test_parse_errors_carry_line_numbers():
     assert "duplicate" in str(exc.value)
 
 
+def test_parse_checks_the_edge_count_before_sizing_the_mask():
+    # a million-vertex mask would take 931 GiB: the short body is refused first
+    with pytest.raises(ParseError, match=r"^line 1: expected 1 edge lines, found 0$"):
+        parse_graph_text("digraph 1000000 1\n")
+
+
 def test_parse_errors_count_blank_lines():
     with pytest.raises(ParseError) as exc:
         parse_graph_text("digraph 3 2\n0 1\n\n\n0 1\n")
