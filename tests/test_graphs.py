@@ -87,6 +87,12 @@ def test_parse_roundtrip():
     assert parse_graph_text(text) == u
 
 
+def test_write_graph_text_bytes():
+    # arcs ascending, a graph text's edges written as both of their arcs
+    g = parse_graph_text("graph 4 3\n3 0\n2 1\n0 1\n")
+    assert write_graph_text(g) == "digraph 4 6\n0 1\n0 3\n1 0\n1 2\n2 1\n3 0\n"
+
+
 def test_parse_errors_carry_line_numbers():
     with pytest.raises(ParseError) as exc:
         parse_graph_text("digraph 2 1\n0 0\n")

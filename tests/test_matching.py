@@ -478,6 +478,22 @@ def test_pfm_roundtrip_bit_faithful():
     assert np.array_equal(back.weights, x.weights)
 
 
+def test_write_pfm_text_bytes():
+    # arcs ascending, each weight in 17 significant digits
+    w = np.zeros((4, 4))
+    for v in range(4):
+        w[v, (v + 1) % 4], w[v, (v + 2) % 4], w[v, (v + 3) % 4] = 1 / 3, 1 / 6, 1 / 2
+    x = PerfectFractionalMatching(complete_digraph(4), w)
+    third, sixth = "0.33333333333333331", "0.16666666666666666"
+    assert write_pfm_text(x) == "".join(f"{line}\n" for line in [
+        "pfm 4 12",
+        f"0 1 {third}", f"0 2 {sixth}", "0 3 0.5",
+        "1 0 0.5", f"1 2 {third}", f"1 3 {sixth}",
+        f"2 0 {sixth}", "2 1 0.5", f"2 3 {third}",
+        f"3 0 {third}", f"3 1 {sixth}", "3 2 0.5",
+    ])
+
+
 @pytest.mark.parametrize("bad", ["nan", "inf"])
 def test_pfm_rejects_weights_that_are_not_finite(bad):
     g = complete_digraph(3)
