@@ -58,8 +58,10 @@ class Digraph:
 
         Trusted: nothing is checked, so the caller guarantees a square bool
         array with a False diagonal: a mask filled from checked text lines
-        (``parse_graph_text``), a block of a host's mask (``induced_subgraph``)
-        or one plus an attached vertex (``matching.rebalance_after_removal``).
+        (``parse_graph_text``, ``matching.parse_pfm_text``), the negated
+        identity (``complete_digraph``), a block of a host's mask
+        (``induced_subgraph``) or one plus an attached vertex
+        (``matching.rebalance_after_removal``).
         The digraph takes the array over and makes it read-only.
         """
         self = cls.__new__(cls)
@@ -96,12 +98,6 @@ class Digraph:
             self._in_adj = _row_lists(self.mask.T)
         return self._in_adj
 
-    def deg_out(self, v: int) -> int:
-        return int(np.count_nonzero(self.mask[v]))
-
-    def deg_in(self, v: int) -> int:
-        return int(np.count_nonzero(self.mask[:, v]))
-
     def has_arc(self, u: int, v: int) -> bool:
         return 0 <= u < self.n and 0 <= v < self.n and bool(self.mask[u, v])
 
@@ -130,7 +126,7 @@ def min_semidegree(g: Digraph) -> int:
     return int(min(g.mask.sum(axis=1).min(), g.mask.sum(axis=0).min()))
 
 
-def induced_subgraph(g: Digraph, keep: Sequence[int]) -> tuple[Digraph, dict[int, int]]:
+def induced_subgraph(g: Digraph, keep: Sequence[int]) -> Digraph:
     """Induced subgraph on the given vertex sequence (order defines new ids)."""
     keep = list(keep)
     if len(set(keep)) != len(keep):
@@ -138,8 +134,7 @@ def induced_subgraph(g: Digraph, keep: Sequence[int]) -> tuple[Digraph, dict[int
     for v in keep:
         if not (0 <= v < g.n):
             raise InputError(f"unknown vertex id {v}")
-    relabel = {old: new for new, old in enumerate(keep)}
-    return Digraph._from_mask(g.mask[np.ix_(keep, keep)]), relabel
+    return Digraph._from_mask(g.mask[np.ix_(keep, keep)])
 
 
 def epsilon_of(g: Digraph) -> Fraction:
@@ -151,7 +146,9 @@ def epsilon_of(g: Digraph) -> Fraction:
 
 def complete_digraph(n: int) -> Digraph:
     """K_n with both orientations of every edge."""
-    return Digraph(n, [(u, v) for u in range(n) for v in range(n) if u != v])
+    if n < 0:
+        raise InputError("vertex count must be nonnegative")
+    return Digraph._from_mask(~np.eye(n, dtype=bool))
 
 
 def directed_cycle(n: int) -> Digraph:
@@ -193,5 +190,5 @@ def parse_graph_text(text: str) -> Digraph:
 
 def write_graph_text(g: Digraph) -> str:
     """g's ``digraph`` text, arcs ascending: a ``graph`` text is written as its 2m arcs."""
-    lines = [f"digraph {g.n} {g.m}", *(f"{u} {v}" for u, v in sorted(g.edges))]
+    lines = [f"digraph {g.n} {g.m}", *(f"{u} {v}" for u, v in zip(*np.nonzero(g.mask)))]
     return "\n".join(lines) + "\n"

@@ -64,12 +64,6 @@ class PerfectFractionalMatching:
     def n(self) -> int:
         return self.host.n
 
-    def weight(self, u: int, v: int) -> float:
-        return float(self.weights[u, v])
-
-    def support_arcs(self) -> list[tuple[int, int]]:
-        return sorted(self.host.edges)
-
     def __repr__(self) -> str:
         return f"PerfectFractionalMatching(n={self.n}, m={self.host.m})"
 
@@ -286,14 +280,11 @@ def heavy_mass(x: PFM, b: float) -> float:
 class NormalizationConfig:
     b: float
     lam: float = 0.5
-    c: Optional[float] = None       # claimed normality of the blend partner
     max_rounds: int = 20000
 
     def __post_init__(self):
         if not (0 < self.lam < 1):
             raise InputError(f"blend parameter must lie in (0,1), got {self.lam}")
-        if self.c is not None and not (self.b > self.c >= 1):
-            raise InputError(f"need b > c >= 1, got b={self.b}, c={self.c}")
         if self.b <= 1:
             raise InputError(f"target b must exceed 1, got {self.b}")
 
@@ -347,10 +338,6 @@ def normalize_to_b(
     if partner is None:
         partner, _ = max_entropy_matching(g)
     c_actual = normality(partner).b_min
-    if cfg.c is not None and c_actual > cfg.c * (1 + 1e-9):
-        raise InputError(
-            f"blend partner is only {c_actual:.6g}-normal, claimed c={cfg.c}"
-        )
     if not math.isfinite(c_actual) or c_actual >= b:
         raise ProcedureError(
             "no sufficiently normal blend partner on this host",
@@ -629,7 +616,7 @@ def matching_minus_set(
             partner_normality=c_actual, target_b=b,
         )
     lam = min(0.9, max(0.1, 1.2 * c_actual / b))
-    cfg = NormalizationConfig(b=b, lam=lam, c=None)
+    cfg = NormalizationConfig(b=b, lam=lam)
     z, norm_rep = normalize_to_b(y, cfg, partner=partner)
     h_z = matching_entropy(z)
     rep = MinusSetReport(
@@ -644,7 +631,7 @@ def matching_minus_set(
 
 def write_pfm_text(x: PFM) -> str:
     lines = [f"pfm {x.n} {x.host.m}"]
-    for u, v in x.support_arcs():
+    for u, v in zip(*np.nonzero(x.host.mask)):
         lines.append(f"{u} {v} {x.weights[u, v]:.17g}")
     return "\n".join(lines) + "\n"
 
@@ -654,9 +641,10 @@ def parse_pfm_text(text: str) -> PFM:
     lines, _, n, m = read_header(text, ("pfm",), "'pfm <n> <m>'", "vertex/arc count")
     if n < 0 or m < 0:
         raise ParseError(1, "negative vertex/arc count")
+    body = read_body(lines, m, "arc", "<u> <v> <weight>")
+    mask = np.zeros((n, n), dtype=bool)
     w = np.zeros((n, n))
-    arcs = set()
-    for idx, parts in read_body(lines, m, "arc", "<u> <v> <weight>"):
+    for idx, parts in body:
         try:
             u, v = int(parts[0]), int(parts[1])
             wt = float(parts[2])
@@ -664,12 +652,12 @@ def parse_pfm_text(text: str) -> PFM:
             raise ParseError(idx, "malformed arc line") from None
         if not (0 <= u < n and 0 <= v < n) or u == v:
             raise ParseError(idx, "bad arc endpoints")
-        if (u, v) in arcs:
+        if mask[u, v]:
             raise ParseError(idx, f"duplicate arc {u} {v}")
         if wt < 0:
             raise ParseError(idx, "negative weight")
         if not math.isfinite(wt):
             raise ParseError(idx, "arc weights must be finite")
-        arcs.add((u, v))
+        mask[u, v] = True
         w[u, v] = wt
-    return PFM(Digraph(n, arcs), w)
+    return PFM(Digraph._from_mask(mask), w)

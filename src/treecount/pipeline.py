@@ -238,7 +238,7 @@ def run_pipeline(
                 # the attached vertex's arcs are g's arcs between the anchor
                 # and the survivors, so the host is g induced on survivors +
                 # anchor
-                cur_g = induced_subgraph(g, survivors + [anchor])[0]
+                cur_g = induced_subgraph(g, survivors + [anchor])
                 cur_x = None
             cur_to_orig = survivors + [anchor]
         except ProcedureError as exc:
@@ -250,7 +250,7 @@ def run_pipeline(
         used = set(mapping.values())
         # the attach image is the last host, the root of the search
         hosts = [v for v in range(n) if v not in used] + [mapping[completion.root]]
-        sub = induced_subgraph(g, hosts)[0]
+        sub = induced_subgraph(g, hosts)
         # the completion tree's BFS order is its local ids 0..k-1
         image = next(_embeddings(sub, completion.tree, [len(hosts) - 1]), None)
         if image is None:

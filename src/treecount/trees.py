@@ -422,8 +422,6 @@ class TrunkSplit:
     trunk: Optional[TreePiece]   # T' (None when the split is degenerate)
     branch: TreePiece            # T''
     attach: Optional[int]        # t', original id (parent of branch root)
-    branch_root: int             # t'', original id
-    degenerate: bool
 
 
 def split_trunk(t: RootedOrientedTree, threshold: int) -> TrunkSplit:
@@ -435,12 +433,10 @@ def split_trunk(t: RootedOrientedTree, threshold: int) -> TrunkSplit:
     t2 = min(candidates, key=lambda v: (-t.depth[v], v))
     branch = TreePiece(t, t.subtree_vertices(t2))
     if t2 == t.root:
-        return TrunkSplit(trunk=None, branch=branch, attach=None,
-                          branch_root=t2, degenerate=True)
+        return TrunkSplit(trunk=None, branch=branch, attach=None)
     t1 = t.parent[t2]
     trunk = TreePiece(t, t.subtree_vertices(t.root, {t2}))
-    return TrunkSplit(trunk=trunk, branch=branch, attach=t1,
-                      branch_root=t2, degenerate=False)
+    return TrunkSplit(trunk=trunk, branch=branch, attach=t1)
 
 
 # ---------------------------------------------------------------------------

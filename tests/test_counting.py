@@ -329,7 +329,7 @@ def test_estimator_exact_expectation_small():
         for v in t.bfs_order:
             if v == t.root:
                 continue
-            w = x.weight(images[pos[t.parent[v]]], images[pos[v]])
+            w = x.weights[images[pos[t.parent[v]]], images[pos[v]]]
             if w == 0:
                 ok = False
                 break

@@ -25,7 +25,7 @@ from treecount.graphs import (
 def test_digraph_basic():
     g = Digraph(3, [(0, 1), (1, 2), (2, 0)])
     assert g.m == 3
-    assert g.deg_out(0) == 1 and g.deg_in(0) == 1
+    assert g.mask[0].sum() == 1 and g.mask[:, 0].sum() == 1
     assert g.has_arc(0, 1) and not g.has_arc(1, 0)
 
 
@@ -49,7 +49,7 @@ def test_graph_degrees():
     k5 = "graph 5 10\n" + "".join(f"{u} {v}\n" for u in range(5) for v in range(u + 1, 5))
     g = parse_graph_text(k5)
     assert g.m == 20 and g == complete_digraph(5)
-    assert all(g.deg_out(v) == g.deg_in(v) == 4 for v in range(5))
+    assert (g.mask.sum(axis=1) == 4).all() and (g.mask.sum(axis=0) == 4).all()
 
 
 def test_min_semidegree_and_epsilon():
@@ -70,7 +70,7 @@ def test_double_orient():
 
 def test_remove_and_induce():
     g = complete_digraph(5)
-    h2, r2 = induced_subgraph(g, [4, 1])
+    h2 = induced_subgraph(g, [4, 1])
     assert h2.n == 2 and h2.has_arc(0, 1) and h2.has_arc(1, 0)
     with pytest.raises(InputError):
         induced_subgraph(g, [1, 1])
@@ -180,11 +180,9 @@ def test_from_mask_equals_arc_list_build(mask):
     order = np.random.default_rng(n).permutation(n).tolist()
     keep = order[: (2 * n + 2) // 3]      # unsorted
     survivors = sorted(keep)
-    for (sub, relabel), kept in (
-        (induced_subgraph(g, keep), keep),
-        (induced_subgraph(g, survivors), survivors),
-    ):
-        assert relabel == {old: new for new, old in enumerate(kept)}
+    for kept in (keep, survivors):
+        sub = induced_subgraph(g, kept)
+        relabel = {old: new for new, old in enumerate(kept)}
         sub_arcs = [
             (relabel[u], relabel[v])
             for u, v in arcs

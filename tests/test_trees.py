@@ -346,13 +346,13 @@ def test_report_matches_loop_reference():
 def test_split_trunk():
     t = path_tree(10)
     split = split_trunk(t, 3)
-    assert not split.degenerate
+    assert split.trunk is not None
     assert split.branch.size >= 3
     assert split.trunk.size + split.branch.size == 10
-    assert split.attach == t.parent[split.branch_root]
+    assert split.attach == t.parent[split.branch.root]
     # threshold as large as the tree: the root itself is the only choice
     s2 = split_trunk(t, 10)
-    assert s2.degenerate and s2.trunk is None
+    assert s2.trunk is None and s2.attach is None and s2.branch.root == t.root
 
 
 def _pieces_of(t, rng):
@@ -524,11 +524,11 @@ def test_pieces_match_reference_walks():
         t = random_tree(rng, int(rng.integers(1, 31)), max_deg=int(rng.integers(3, 7)))
         for threshold in range(1, t.n + 1):
             split = split_trunk(t, threshold)
-            assert split.branch.vertices == tuple(ref_subtree(t, split.branch_root))
-            if split.degenerate:
+            assert split.branch.vertices == tuple(ref_subtree(t, split.branch.root))
+            if split.branch.root == t.root:
                 assert split.trunk is None
             else:
-                want = tuple(ref_minus_subtree(t, split.branch_root))
+                want = tuple(ref_minus_subtree(t, split.branch.root))
                 assert split.trunk.vertices == want
     two_centroids = [path_tree(5000)]
     while len(two_centroids) < 40:
