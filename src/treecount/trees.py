@@ -539,9 +539,10 @@ def parse_tree_text(text: str) -> RootedOrientedTree:
     lines, _, n, root = read_header(text, ("tree",), "'tree <n> <root>'", "count/root")
     if not (0 <= root < n):
         raise ParseError(1, "root out of range")
+    body = read_body(lines, n - 1, "edge", "<child> <parent> <dir>")
     parent = [-1] * n
     edge_dir: list[Optional[str]] = [None] * n
-    for idx, parts in read_body(lines, n - 1, "edge", "<child> <parent> <dir>"):
+    for idx, parts in body:
         try:
             c, p = int(parts[0]), int(parts[1])
         except ValueError:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import tracemalloc
 from collections import deque, namedtuple
 
 import numpy as np
@@ -701,6 +702,20 @@ def test_tree_parse_errors():
     with pytest.raises(ParseError) as exc:
         parse_tree_text("tree 3 0\n1 0 down\n1 2 up\n")
     assert "two parents" in str(exc.value)
+
+
+def test_tree_parse_checks_the_edge_count_before_sizing_its_lists():
+    # two n-element lists for a million vertices: the short body is refused
+    # first, and the refusal holds no more than the text's own lines
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError) as exc:
+            parse_tree_text("tree 1000000 0\n0 1 down\n")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert str(exc.value) == "line 2: expected 999999 edge lines, found 1"
+    assert peak < 2**20
 
 
 def test_tree_parse_errors_count_blank_lines():
