@@ -14,7 +14,13 @@ from typing import Optional
 
 import numpy as np
 
-from .counting import _embeddings
+from .counting import (
+    _DEFAULT_BUDGET,
+    _SUBSET_MAX_N,
+    _count_by_subsets,
+    _embeddings,
+    _visit_bound,
+)
 from .errors import InputError, ProcedureError
 from .graphs import Digraph, epsilon_of, induced_subgraph
 from .jsontext import dumps
@@ -71,6 +77,31 @@ def validate_embedding(
     return all(g.has_arc(mapping[u], mapping[v]) for u, v in t.oriented_edges())
 
 
+def _first_copy(
+    g: Digraph, t: RootedOrientedTree, roots: list[int], refusal: str, **diagnostics
+) -> list[int]:
+    """The first copy of t in g with its root image in ``roots``, as host ids
+    in t's BFS order; ProcedureError(refusal, **diagnostics) if there is none.
+
+    The search stops past the counting budget, with its own error and the
+    diagnostics added.  On hosts of at most 16 vertices whose visit bound
+    exceeds that budget, the subset DP first decides whether a copy exists.
+    """
+    if (
+        g.n <= _SUBSET_MAX_N
+        and _visit_bound(g, t, roots) > _DEFAULT_BUDGET
+        and _count_by_subsets(g, t, roots, visits=False)[0] == 0
+    ):
+        raise ProcedureError(refusal, **diagnostics)
+    try:
+        image = next(_embeddings(g, t, roots, budget=_DEFAULT_BUDGET), None)
+    except ProcedureError as exc:
+        raise ProcedureError(str(exc), **exc.diagnostics, **diagnostics) from exc
+    if image is None:
+        raise ProcedureError(refusal, **diagnostics)
+    return image
+
+
 def run_pipeline(
     g: Digraph,
     t: RootedOrientedTree,
@@ -87,7 +118,9 @@ def run_pipeline(
     input (a vertex left without arcs) fails the same way, with the
     solver's InputError as the cause.  A reserved branch that cannot be
     placed, and an assembled map that fails validation, carry ``trace``
-    but no ``stage``.  Failures before the stages begin carry neither.
+    but no ``stage``; the direct placement's refusals carry ``stage="direct"``
+    and no trace.  A placement search stopped past the counting budget adds
+    its ``visits``.  Other failures before the stages begin carry neither.
     """
     n = g.n
     if t.n > n:
@@ -120,9 +153,7 @@ def run_pipeline(
             # the whole tree is small enough to place exhaustively
             start = int(rng.integers(0, n))
             roots = [start, *range(start), *range(start + 1, n)]
-            image = next(_embeddings(g, t, roots), None)
-            if image is None:
-                raise ProcedureError("no embedding exists", stage="direct")
+            image = _first_copy(g, t, roots, "no embedding exists", stage="direct")
             mapping = {v: image[i] for i, v in enumerate(t.bfs_order)}
             return PipelineTrace(
                 success=True, mapping=mapping, stages=(),
@@ -252,12 +283,10 @@ def run_pipeline(
         hosts = [v for v in range(n) if v not in used] + [mapping[completion.root]]
         sub = induced_subgraph(g, hosts)
         # the completion tree's BFS order is its local ids 0..k-1
-        image = next(_embeddings(sub, completion.tree, [len(hosts) - 1]), None)
-        if image is None:
-            raise ProcedureError(
-                "no completion embedding for the reserved branch",
-                trace=partial_trace(),
-            )
+        image = _first_copy(
+            sub, completion.tree, [len(hosts) - 1],
+            "no completion embedding for the reserved branch", trace=partial_trace(),
+        )
         for tree_id, host_cur in zip(completion.vertices[1:], image[1:]):
             mapping[tree_id] = hosts[host_cur]
     if not validate_embedding(g, t, mapping):

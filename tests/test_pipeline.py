@@ -1,12 +1,15 @@
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 
 from helpers import random_dense_digraph, random_tree
 from treecount import pipeline
 from treecount.errors import InputError, ProcedureError
-from treecount.graphs import complete_digraph, directed_cycle
+from treecount.counting import _DEFAULT_BUDGET, _visit_bound
+from treecount.graphs import Digraph, complete_digraph, directed_cycle
 from treecount.pipeline import run_pipeline, trace_to_json, validate_embedding
 from treecount.randtree import sample_tree
 from treecount.trees import RootedOrientedTree, path_tree, star_tree
@@ -140,6 +143,32 @@ def test_direct_placement_searches_each_root_once(monkeypatch):
     with pytest.raises(ProcedureError, match="^no embedding exists$"):
         run_pipeline(g, star_tree(9), seed=0)
     assert [sorted(roots) for roots in seen] == [list(range(8)), list(range(10))]
+
+
+def test_direct_placement_refuses_a_star_without_searching():
+    # a spanning star needs a centre of out-degree 12; in this 13-vertex
+    # host with semidegree 7, vertex 0 has the largest, 11.  The search's
+    # visit bound is above the budget, so the subset DP decides instead,
+    # where the search would run for minutes
+    arcs = {(u, (u + d) % 13) for u in range(13) for d in range(1, 8)}
+    g = Digraph(13, arcs | {(0, v) for v in range(1, 12)})
+    t = star_tree(12)
+    assert _visit_bound(g, t, list(range(13))) > _DEFAULT_BUDGET
+    start = time.perf_counter()
+    with pytest.raises(ProcedureError, match="^no embedding exists$") as info:
+        run_pipeline(g, t, seed=0)
+    assert time.perf_counter() - start < 1.0
+    assert info.value.diagnostics == {"stage": "direct"}
+
+
+def test_direct_placement_budget_refusal_carries_visits(monkeypatch):
+    # the star has copies in K_8, but a budget of 3 visits ends the search
+    # before the first
+    monkeypatch.setattr(pipeline, "_DEFAULT_BUDGET", 3)
+    with pytest.raises(ProcedureError) as info:
+        run_pipeline(complete_digraph(8), star_tree(7), seed=0)
+    assert str(info.value) == "backtracking budget exceeded; partial count invalid"
+    assert info.value.diagnostics == {"visits": 4, "stage": "direct"}
 
 
 def test_direct_placement_of_deep_path():
