@@ -145,6 +145,19 @@ def test_direct_placement_searches_each_root_once(monkeypatch):
     assert [sorted(roots) for roots in seen] == [list(range(8)), list(range(10))]
 
 
+def test_near_spanning_tree_is_noted():
+    # 10 of 11 host vertices: above 90%, but not spanning, so no reserved
+    # branch is split off
+    g, t = complete_digraph(11), path_tree(10)
+    trace = run_pipeline(g, t, seed=0)
+    assert not trace.spanning and trace.trunk_threshold is None
+    assert (
+        "tree covers more than 90% of the host without being spanning; "
+        "no absorption step is taken"
+    ) in trace.notes
+    assert validate_embedding(g, t, trace.mapping)
+
+
 def test_direct_placement_refuses_a_star_without_searching():
     # a spanning star needs a centre of out-degree 12; in this 13-vertex
     # host with semidegree 7, vertex 0 has the largest, 11.  The search's
