@@ -337,7 +337,10 @@ def estimate_copies(
             "matching has zero-weight arcs; the estimator would be biased"
         )
     batch = sample_trees_batch(g, x, t, samples, seed)
-    vals = np.where(batch.self_avoiding, g.n * np.exp2(-batch.log_probs), 0.0)
+    # the images are the batch's bulk, and the weights never read them
+    self_avoiding, log_probs = batch.self_avoiding, batch.log_probs
+    del batch
+    vals = np.where(self_avoiding, g.n * np.exp2(-log_probs), 0.0)
     mean = float(vals.mean())
     se = float(vals.std(ddof=1) / math.sqrt(len(vals))) if len(vals) > 1 else 0.0
     ci = (mean - _Z_95 * se, mean + _Z_95 * se, 0.95)

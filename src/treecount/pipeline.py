@@ -77,17 +77,34 @@ def validate_embedding(
     return all(g.has_arc(mapping[u], mapping[v]) for u, v in t.oriented_edges())
 
 
+def _degrees_fit(g: Digraph, t: RootedOrientedTree, roots: list[int]) -> bool:
+    """Whether each tree vertex's out- and in-degree are each at most the
+    largest of its possible images: ``roots`` for the root, any host vertex
+    for the others."""
+    arcs = np.array(t.oriented_edges(), dtype=np.intp).reshape(-1, 2)
+    need_out = np.bincount(arcs[:, 0], minlength=t.n)
+    need_in = np.bincount(arcs[:, 1], minlength=t.n)
+    has_out, has_in = g.mask.sum(axis=1), g.mask.sum(axis=0)
+    if need_out[t.root] > has_out[roots].max() or need_in[t.root] > has_in[roots].max():
+        return False
+    need_out[t.root] = need_in[t.root] = 0
+    return need_out.max() <= has_out.max() and need_in.max() <= has_in.max()
+
+
 def _first_copy(
     g: Digraph, t: RootedOrientedTree, roots: list[int], refusal: str, **diagnostics
 ) -> list[int]:
     """The first copy of t in g with its root image in ``roots``, as host ids
     in t's BFS order; ProcedureError(refusal, **diagnostics) if there is none.
 
-    The search stops past the counting budget, with its own error and the
-    diagnostics added.  On hosts of at most 16 vertices whose visit bound
-    exceeds that budget, the subset DP first decides whether a copy exists.
+    A tree vertex whose out- or in-degree exceeds that of every host vertex
+    it may map to (``roots`` for the root, any host vertex for the others)
+    refuses at once.  Otherwise the search stops past the counting budget,
+    with its own error and the diagnostics added.  On hosts of at most 16
+    vertices whose visit bound exceeds that budget, the subset DP first
+    decides whether a copy exists.
     """
-    if (
+    if not _degrees_fit(g, t, roots) or (
         g.n <= _SUBSET_MAX_N
         and _visit_bound(g, t, roots) > _DEFAULT_BUDGET
         and _count_by_subsets(g, t, roots, visits=False)[0] == 0

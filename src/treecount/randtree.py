@@ -16,17 +16,19 @@ roots alone:
   would serve only that search;
 - more roots (``sample_trees_batch``): per tree edge, every sample starts
   at its row's n-bucket guide (the cutpoint method; Chen & Asau 1974,
-  Devroye 1986 III.2.4) and walks, all samples at once, to the searched
-  cell.  The walk, not the guide, decides the cell, so a batch needs
-  neither a sort nor a binary search, and its images stay the search's.
+  Devroye 1986 III.2.4) and walks, a block of ``_BLOCK`` samples at once,
+  to the searched cell.  The walk, not the guide, decides the cell, so a
+  batch needs neither a sort nor a binary search, and its images stay the
+  search's.
 
 Both paths give the same images and log-probabilities from the same random
 stream, bit for bit.  Images come out as ``_image_dtype(n)``: uint16 up to
 n = 65,536 and uint32 above, so 2 bytes per tree vertex per sample rather
 than 8.  Rows (and guides) are built on first use and kept for the call:
 about one row per tree edge for a single draw, at most n per direction for
-a batch, next to its output and a few columns of draws, not a samples x n
-block per tree edge.
+a batch.  Besides those and its output, a batch holds one column of
+uniforms per tree edge and a few temporaries of ``_BLOCK`` samples, each
+small enough for L2, not a samples x n block per tree edge.
 """
 
 from __future__ import annotations
@@ -47,6 +49,10 @@ from .rng import as_stream
 from .trees import DOWN, UP, RootedOrientedTree
 
 MARGINAL_TOL = 1e-10
+
+# samples per block of the batch sampler's per-edge search: each block
+# temporary is 128 KiB of intp or float64, which stays in L2
+_BLOCK = 2**14
 
 # glibc keeps freed heap memory resident, up to a trim threshold that grows
 # to 64 MiB after large frees, so without a trim a batch's peak memory
@@ -187,9 +193,19 @@ def _draw_many(
     cell whatever the guide says: the guide sets the speed, never the
     image.  A sample that moved forward needs no backward step.
 
+    Per tree edge, the rows are built from all parents and one uniform is
+    drawn for every sample, so the random stream does not depend on the
+    block size.  The rest of the edge runs over blocks of ``_BLOCK``
+    samples: each casts its parents, walks and writes its images and
+    log-probabilities.  Its temporaries take ``_BLOCK`` x 8 bytes each,
+    128 KiB, and stay in L2 rather than stream k x 8 bytes through memory
+    at every step; a block computes each sample from the same uniform in
+    the same order, so the block size changes no bit.  Zero-weight draws
+    are counted over the whole edge before the error is raised.
+
     Images are stored as ``_image_dtype(n)`` and every index is computed
-    in intp: each parent row is cast once per edge, and each child row is
-    written straight from the flat cells.
+    in intp: each block casts its parents once, and each block of a child
+    row is written straight from the flat cells.
     """
     n, k = x.n, len(roots)
     trans = _transition_matrices(x)
@@ -207,56 +223,64 @@ def _draw_many(
             tables[d] = (np.empty((n, n)), np.empty((n, n), dtype=small),
                          np.empty(n), np.zeros(n, dtype=bool))
         cdf, guide, totals, built = tables[d]
-        # cast once per edge: a gather costs about 3x as much with uint16
-        # indices as with intp ones
-        parents = images[j].astype(np.intp)
         if not built.all():
             used[:] = False
-            used[parents] = True
+            used[images[j]] = True
             new = np.flatnonzero(used & ~built)
-            block = np.cumsum(trans[d][new], axis=1)
-            cdf[new] = block
-            guide[new] = _guide_rows(block, small)
-            totals[new] = block[:, -1]
+            rows = np.cumsum(trans[d][new], axis=1)
+            cdf[new] = rows
+            guide[new] = _guide_rows(rows, small)
+            totals[new] = rows[:, -1]
             built[new] = True
-        u = rng.random(k)
-        target = totals[parents]
-        target *= u
-        base = parents * n  # flat index of each parent's row
-        u *= n
-        at = u.astype(np.intp)  # the bucket floor(u n)
-        del u
-        np.minimum(at, n - 1, out=at)
-        at += base
-        np.add(base, guide.ravel()[at], out=at)  # the flat start cell
-        flat = cdf.ravel()
-        move = np.flatnonzero(flat[at] < target)
-        while move.size:
-            at[move] += 1
-            move = move[flat[at[move]] < target[move]]
-        # where at == base, at - 1 reads outside the row, and at > base
-        # discards it
-        move = np.flatnonzero((at > base) & (flat[at - 1] >= target))
-        while move.size:
-            at[move] -= 1
-            move = move[(at[move] > base[move])
-                        & (flat[at[move] - 1] >= target[move])]
-        # every cell is below n, so the narrow image row holds it
-        np.subtract(at, base, out=images[i], casting="unsafe")
-        if d == UP:
-            # trans[UP][parent, child] is w[child, parent], whose flat
-            # index is computed in intp, where child * n cannot overflow
-            at -= base
-            at *= n
-            at += parents
-        p = w[at]
-        bad = p <= 0
-        if bad.any():
+        flat, starts = cdf.ravel(), guide.ravel()
+        # one draw per edge keeps the random stream; the rest runs a block
+        # of samples at a time
+        uniforms = rng.random(k)
+        bad = 0
+        for lo in range(0, k, _BLOCK):
+            hi = min(lo + _BLOCK, k)
+            # cast once per block: a gather costs about 3x as much with
+            # uint16 indices as with intp ones
+            parents = images[j, lo:hi].astype(np.intp)
+            u = uniforms[lo:hi]
+            target = totals[parents]
+            target *= u
+            base = parents * n  # flat index of each parent's row
+            u *= n
+            at = u.astype(np.intp)  # the bucket floor(u n)
+            np.minimum(at, n - 1, out=at)
+            at += base
+            np.add(base, starts[at], out=at)  # the flat start cell
+            move = np.flatnonzero(flat[at] < target)
+            while move.size:
+                at[move] += 1
+                move = move[flat[at[move]] < target[move]]
+            # where at == base, at - 1 reads outside the row, and at > base
+            # discards it
+            move = np.flatnonzero((at > base) & (flat[at - 1] >= target))
+            while move.size:
+                at[move] -= 1
+                move = move[(at[move] > base[move])
+                            & (flat[at[move] - 1] >= target[move])]
+            # every cell is below n, so the narrow image row holds it
+            np.subtract(at, base, out=images[i, lo:hi], casting="unsafe")
+            if d == UP:
+                # trans[UP][parent, child] is w[child, parent], whose flat
+                # index is computed in intp, where child * n cannot overflow
+                at -= base
+                at *= n
+                at += parents
+            p = w[at]
+            zero = np.count_nonzero(p <= 0)
+            if zero:
+                bad += zero  # counted over the whole edge, then raised
+                continue
+            log_probs[lo:hi] += np.log2(p)
+        if bad:
             raise ProcedureError(
                 "sampled a zero-weight arc; matching has support gaps",
-                count=int(bad.sum()),
+                count=bad,
             )
-        log_probs += np.log2(p)
     return images.T, log_probs
 
 

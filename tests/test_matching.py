@@ -117,13 +117,15 @@ def test_vertex_and_subset_entropy():
     total_in = sum(vertex_entropy(x, v, "in") for v in range(4))
     h = matching_entropy(x)
     assert total_out == pytest.approx(h) and total_in == pytest.approx(h)
-    # single arc of weight 1/4 contributes 0.5 bits
-    g2 = Digraph(4, [(0, 1), (0, 2), (0, 3), (1, 0), (2, 0), (3, 0),
-                     (1, 2), (2, 3), (3, 1), (2, 1), (3, 2), (1, 3)])
-    x2, _ = max_entropy_matching(g2)
-    assert (abs(x2.weights[g2.mask] - 0.25) < 0.3).any()
-    # the exact weights depend on the host; direct value check instead:
-    assert -0.25 * math.log2(0.25) == pytest.approx(0.5)
+    # K_5's max-entropy matching gives each of its 20 arcs weight 1/4, and
+    # each arc 0.5 bits, so each vertex has 2 bits a side and the matching 10
+    g5 = complete_digraph(5)
+    x5, _ = max_entropy_matching(g5)
+    assert x5.weights[g5.mask] == pytest.approx(np.full(20, 0.25))
+    for v in range(5):
+        assert vertex_entropy(x5, v, "out") == pytest.approx(2.0)
+        assert vertex_entropy(x5, v, "in") == pytest.approx(2.0)
+    assert matching_entropy(x5) == pytest.approx(10.0)
 
 
 def test_normality_examples():

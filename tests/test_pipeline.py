@@ -12,7 +12,7 @@ from treecount.counting import _DEFAULT_BUDGET, _visit_bound
 from treecount.graphs import Digraph, complete_digraph, directed_cycle
 from treecount.pipeline import run_pipeline, trace_to_json, validate_embedding
 from treecount.randtree import sample_tree
-from treecount.trees import RootedOrientedTree, path_tree, star_tree
+from treecount.trees import DOWN, UP, RootedOrientedTree, path_tree, star_tree
 
 
 def test_single_vertex_trivial():
@@ -126,8 +126,9 @@ def test_sampler_failure_carries_stage_and_trace(monkeypatch):
 
 def test_direct_placement_searches_each_root_once(monkeypatch):
     # a spanning star splits degenerately, so it is placed directly: in
-    # K_8 it places, and in a thinned 10-vertex host no vertex has
-    # out-degree 9, so every root is searched and refused
+    # K_8 it places.  K_8 less a perfect matching has every degree the
+    # mixed star needs, but no vertex is adjacent to all the others, so
+    # every root is searched and refused
     seen = []
 
     def recording(g, t, roots, *args, **kwargs):
@@ -139,10 +140,10 @@ def test_direct_placement_searches_each_root_once(monkeypatch):
     monkeypatch.setattr(pipeline, "_embeddings", recording)
     trace = run_pipeline(complete_digraph(8), star_tree(7), seed=0)
     assert "degenerate split: direct placement" in trace.notes
-    g = random_dense_digraph(np.random.default_rng([7, 10]), 10, 6)
+    g = Digraph(8, [(u, v) for u in range(8) for v in range(8) if u // 2 != v // 2])
     with pytest.raises(ProcedureError, match="^no embedding exists$"):
-        run_pipeline(g, star_tree(9), seed=0)
-    assert [sorted(roots) for roots in seen] == [list(range(8)), list(range(10))]
+        run_pipeline(g, star_tree(7, [DOWN] * 4 + [UP] * 3), seed=0)
+    assert [sorted(roots) for roots in seen] == [list(range(8))] * 2
 
 
 def test_near_spanning_tree_is_noted():
@@ -160,9 +161,8 @@ def test_near_spanning_tree_is_noted():
 
 def test_direct_placement_refuses_a_star_without_searching():
     # a spanning star needs a centre of out-degree 12; in this 13-vertex
-    # host with semidegree 7, vertex 0 has the largest, 11.  The search's
-    # visit bound is above the budget, so the subset DP decides instead,
-    # where the search would run for minutes
+    # host with semidegree 7, vertex 0 has the largest, 11, so the degree
+    # check refuses it, where the search would run for minutes
     arcs = {(u, (u + d) % 13) for u in range(13) for d in range(1, 8)}
     g = Digraph(13, arcs | {(0, v) for v in range(1, 12)})
     t = star_tree(12)
@@ -172,6 +172,57 @@ def test_direct_placement_refuses_a_star_without_searching():
         run_pipeline(g, t, seed=0)
     assert time.perf_counter() - start < 1.0
     assert info.value.diagnostics == {"stage": "direct"}
+
+
+def test_direct_placement_refuses_a_star_by_subset_dp():
+    # K_13 less a Hamilton cycle has every degree a star of 6 out- and 6
+    # in-leaves needs, but no vertex is adjacent to all the others.  The
+    # search's visit bound is above the budget, so the subset DP decides
+    g = Digraph(13, [(u, v) for u in range(13) for v in range(13)
+                     if (v - u) % 13 not in (0, 1, 12)])
+    t = star_tree(12, [DOWN] * 6 + [UP] * 6)
+    assert _visit_bound(g, t, list(range(13))) > _DEFAULT_BUDGET
+    start = time.perf_counter()
+    with pytest.raises(ProcedureError, match="^no embedding exists$") as info:
+        run_pipeline(g, t, seed=0)
+    assert time.perf_counter() - start < 1.0
+    assert info.value.diagnostics == {"stage": "direct"}
+
+
+def test_direct_placement_refuses_a_star_by_degree():
+    # the star's centre needs out-degree 59, and this host's largest is 43;
+    # without the degree check the search ran into its budget after 64 s
+    g = random_dense_digraph(np.random.default_rng([7, 60]), 60, 36)
+    assert g.mask.sum(axis=1).max() == 43
+    start = time.perf_counter()
+    with pytest.raises(ProcedureError, match="^no embedding exists$") as info:
+        run_pipeline(g, star_tree(59), seed=0)
+    assert time.perf_counter() - start < 1.0
+    assert info.value.diagnostics == {"stage": "direct"}
+
+
+def test_first_copy_degree_check(monkeypatch):
+    # vertex 0 of K_5 less the arc 0 -> 4 has out-degree 3, and a star's
+    # centre needs 4: refused, without a search, when 0 is the only root
+    # image allowed, and placed at 1 when 1 is allowed too
+    calls = []
+    real = pipeline._embeddings
+    monkeypatch.setattr(
+        pipeline, "_embeddings", lambda *a, **kw: calls.append(a) or real(*a, **kw)
+    )
+    g = Digraph(5, [(u, v) for u in range(5) for v in range(5)
+                    if u != v and (u, v) != (0, 4)])
+    with pytest.raises(ProcedureError, match="^none$") as info:
+        pipeline._first_copy(g, star_tree(4), [0], "none", note=1)
+    assert info.value.diagnostics == {"note": 1} and calls == []
+    assert pipeline._first_copy(g, star_tree(4), [0, 1], "none")[0] == 1
+    # below the root any host vertex may be the image: vertex 1 needs
+    # out-degree 3, and every vertex of this host has 2
+    g = Digraph(5, [(u, (u + d) % 5) for u in range(5) for d in (1, 2)])
+    t = RootedOrientedTree([-1, 0, 1, 1, 1], [None] + [DOWN] * 4)
+    with pytest.raises(ProcedureError, match="^none$"):
+        pipeline._first_copy(g, t, list(range(5)), "none")
+    assert len(calls) == 1
 
 
 def test_direct_placement_budget_refusal_carries_visits(monkeypatch):

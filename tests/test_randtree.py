@@ -489,6 +489,62 @@ def test_zero_total_row_raises_on_both_paths(d):
         sample_tree(x.host, x, t, 4, seed=0)
 
 
+@pytest.mark.parametrize("block", [7, 1000])
+@pytest.mark.parametrize("host", ["sparse", "dense"])
+def test_blocking_changes_no_bit(monkeypatch, block, host):
+    # k = 3 blocks and a short one; the same batch as one block of all k
+    rng = np.random.default_rng([91, block])
+    if host == "sparse":
+        x = sparse_random_matching(rng, 40)
+    else:
+        x, _ = max_entropy_matching(random_dense_digraph(rng, 40, 24))
+    t = random_tree(rng, 9, max_deg=4)
+    assert {t.edge_dir[v] for v in t.bfs_order[1:]} == {DOWN, UP}
+    k = 3 * block + 5
+    batches = []
+    for size in (block, k + 1):
+        monkeypatch.setattr(randtree, "_BLOCK", size)
+        batches.append(sample_trees_batch(x.host, x, t, k, seed=block))
+    blocked, whole = batches
+    assert np.array_equal(blocked.images, whole.images)
+    assert np.array_equal(blocked.log_probs, whole.log_probs)
+    assert np.array_equal(blocked.self_avoiding, whole.self_avoiding)
+
+
+def test_blocking_counts_every_zero_weight_draw(monkeypatch):
+    # the zero-weight draws of an edge fall in several blocks, and the
+    # error counts them all
+    x = zero_row_matching(12, z=4)
+    t = RootedOrientedTree([-1, 0], [None, DOWN])
+    edges = bucket_edges(x.n)
+    mixed = np.arange(len(edges)) % x.n
+    with np.errstate(divide="ignore"):
+        _, ref_log_probs = complex_key_draw(x, t, mixed, Uniforms(edges))
+    monkeypatch.setattr(randtree, "_BLOCK", 7)
+    with pytest.raises(ProcedureError) as err:
+        _draw(x, t, mixed, Uniforms(edges))
+    assert err.value.diagnostics["count"] == np.count_nonzero(
+        np.isneginf(ref_log_probs)
+    ) > 1
+
+
+def test_batch_working_memory_is_bounded_by_blocks():
+    # the output of 200,000 samples of a 10-vertex path is 5.5 MiB; searching
+    # all of them at once, not a block at a time, needs 12.6 MiB more
+    x = uniform_matching(100)
+    t = path_tree(10)
+    # a first batch loads numpy's random modules and warms the allocator
+    sample_trees_batch(x.host, x, t, 1000, seed=0)
+    tracemalloc.start()
+    try:
+        batch = sample_trees_batch(x.host, x, t, 200_000, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    output = batch.images.nbytes + batch.log_probs.nbytes + batch.self_avoiding.nbytes
+    assert peak < output + 8 * 2**20
+
+
 def test_batch_csv():
     x = uniform_matching(4)
     t = path_tree(3)
