@@ -64,7 +64,7 @@ def cmd_entropy(args) -> int:
         "m": g.m,
         "h_bits": matching_entropy(x),
         "b_min": rep.b_min,
-        "sum_residual": cert.sum_residual,
+        "sum_residual": x.residual,
         "dual_gap": cert.dual_gap,
         "iterations": cert.iterations,
     })

@@ -330,7 +330,8 @@ def estimate_copies(
     injective outcome is sampled with probability exactly its transition
     product over n, so 1_{injective} * n * 2^{-log_prob} averages to the
     labelled count.  All samples come from one batch on the stream
-    (seed, 0), and the interval is the normal 95% one, mean +- z * se.
+    (seed, 0), and the interval is the normal 95% one, mean +- z * se,
+    with its low end raised to 0, since no count is negative.
     """
     if not x.weights[x.host.mask].all():
         raise InputError(
@@ -343,7 +344,7 @@ def estimate_copies(
     vals = np.where(self_avoiding, g.n * np.exp2(-log_probs), 0.0)
     mean = float(vals.mean())
     se = float(vals.std(ddof=1) / math.sqrt(len(vals))) if len(vals) > 1 else 0.0
-    ci = (mean - _Z_95 * se, mean + _Z_95 * se, 0.95)
+    ci = (max(0.0, mean - _Z_95 * se), mean + _Z_95 * se, 0.95)
     aut = automorphism_count(t, rooted=False, respect_orientation=True)
     return CountReport(
         labelled=mean, unlabelled=mean / aut, method="estimator", ci=ci, aut=aut

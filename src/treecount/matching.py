@@ -28,9 +28,12 @@ SHIFT_ENTROPY_TOL = 1e-12
 
 
 class PerfectFractionalMatching:
-    """Immutable arc weighting with unit out- and in-sums at every vertex."""
+    """Immutable arc weighting with unit out- and in-sums at every vertex.
 
-    __slots__ = ("host", "weights")
+    ``residual`` is the worst deviation of an out- or in-sum from 1.
+    """
+
+    __slots__ = ("host", "weights", "residual", "_entropy")
 
     def __init__(self, host: Digraph, weights: np.ndarray, tol: float = ROWSUM_TOL):
         w = np.array(weights, dtype=float)
@@ -46,19 +49,23 @@ class PerfectFractionalMatching:
         off = ~host.mask
         if np.any(w[off] != 0.0):
             raise InputError("nonzero weight on a non-arc")
+        worst = 0.0
         if n > 0:
             # out-sums then in-sums, so k < n names an out-sum
             residual = np.abs(np.concatenate([w.sum(axis=1), w.sum(axis=0)]) - 1.0)
             k = int(residual.argmax())
-            if residual[k] > tol:
+            worst = float(residual[k])
+            if worst > tol:
                 raise InputError(
                     f"unit-sum invariant violated at vertex {k % n} "
                     f"({'out' if k < n else 'in'}): "
-                    f"max residual {residual[k]:.3e} > {tol}"
+                    f"max residual {worst:.3e} > {tol}"
                 )
         w.setflags(write=False)
         self.host = host
         self.weights = w
+        self.residual = worst
+        self._entropy = None
 
     @property
     def n(self) -> int:
@@ -72,10 +79,12 @@ PFM = PerfectFractionalMatching
 
 
 def matching_entropy(x: PFM) -> float:
-    """h(x) = sum over arcs of x_e log2(1/x_e), in bits."""
-    w = x.weights
-    pos = w > 0
-    return float(-(w[pos] * np.log2(w[pos])).sum())
+    """h(x) = sum over arcs of x_e log2(1/x_e), in bits, computed once per matching."""
+    if x._entropy is None:
+        w = x.weights
+        pos = w > 0
+        x._entropy = float(-(w[pos] * np.log2(w[pos])).sum())
+    return x._entropy
 
 
 def vertex_entropy(x: PFM, v: int, side: str) -> float:
@@ -124,7 +133,6 @@ def normality(x: PFM) -> NormalityReport:
 class ScalingCertificate:
     row_factors: tuple[float, ...]
     col_factors: tuple[float, ...]
-    sum_residual: float
     dual_gap: float              # U - h(x) in bits; 0 at the optimum
     iterations: int
 
@@ -175,7 +183,6 @@ def max_entropy_matching(
     cert = ScalingCertificate(
         row_factors=tuple(float(v) for v in r),
         col_factors=tuple(float(v) for v in c),
-        sum_residual=residual,
         dual_gap=float(upper) - matching_entropy(x),
         iterations=iters,
     )
@@ -441,7 +448,9 @@ def _redistribute_rows(
     """Equalize row sums by moving weight between rows inside one column.
 
     Moving weight from arc (d, z) to (t, z) changes only the out-sums of
-    d and t, so column sums are untouched.
+    d and t, so column sums are untouched.  ``w`` must be zero off
+    ``mask``; moves keep it so, since they land only on the taker's mask,
+    so a donor's positive cells are all on its mask.
 
     Each (taker, donor) pair moves its deltas on all common columns at
     once, since every column touches only its own two cells; the running
@@ -476,7 +485,7 @@ def _redistribute_rows(
                 if avail <= floor:
                     continue
                 w_d = rows[d]
-                common = (mask_rows[d] & mask_rows[t] & (w_d > 0)).nonzero()[0]
+                common = (mask_rows[t] & (w_d > 0)).nonzero()[0]
                 if common.size == 0:
                     continue
                 share = min(need, avail) / common.size
@@ -508,8 +517,6 @@ def rebalance_after_removal(
     removed: Iterable[int],
     attach_out: Optional[Sequence[int]] = None,
     attach_in: Optional[Sequence[int]] = None,
-    tol: float = ROWSUM_TOL,
-    entropy: Optional[float] = None,
 ) -> RebalanceResult:
     """Rebuild a matching after deleting vertices, optionally attaching a
     fresh vertex whose neighborhoods are given in surviving (old) ids.
@@ -517,9 +524,9 @@ def rebalance_after_removal(
     Surviving weights are kept, the fresh vertex starts uniform on its
     arcs, everything is rescaled to total n', and residual unit-sum
     deviations are pushed along length-2 paths (out- and in-side repairs
-    are independent because each preserves the other side's sums).
-    ``entropy`` is ``matching_entropy(x)`` if the caller holds it already;
-    the entropy target is computed from it.
+    are independent because each preserves the other side's sums) until
+    every sum is within ``ROWSUM_TOL`` of 1.  The entropy target is computed
+    from ``matching_entropy(x)``, which the matching keeps once computed.
     """
     g = x.host
     removed = set(removed)
@@ -533,8 +540,7 @@ def rebalance_after_removal(
         raise InputError("cannot remove every vertex")
     relabel = {old: new for new, old in enumerate(keep)}
     attach = attach_out is not None
-    if entropy is None:
-        entropy = matching_entropy(x)
+    entropy = matching_entropy(x)
     if not removed and not attach:
         rep = RebalanceReport(
             entropy=entropy, target=entropy,
@@ -572,9 +578,9 @@ def rebalance_after_removal(
     if total <= 0:
         raise ProcedureError("no surviving weight to rescale", total=total)
     w *= n_new / total
-    p1 = _redistribute_rows(w, mask, tol, _REDISTRIBUTE_PASSES)
-    p2 = _redistribute_rows(w.T, mask.T, tol, _REDISTRIBUTE_PASSES)
-    out = PFM(host, w, tol=2 * tol)
+    p1 = _redistribute_rows(w, mask, ROWSUM_TOL, _REDISTRIBUTE_PASSES)
+    p2 = _redistribute_rows(w.T, mask.T, ROWSUM_TOL, _REDISTRIBUTE_PASSES)
+    out = PFM(host, w, tol=2 * ROWSUM_TOL)
     h_new = matching_entropy(out)
     target = (kept / g.n) * entropy - kept * math.log2(g.n / kept)
     rep = RebalanceReport(

@@ -164,7 +164,8 @@ def run_pipeline(
     # the reserved branch hung from its attach vertex, placed last
     completion: Optional[TreePiece] = None
     if spanning:
-        threshold = trunk_threshold or min(DEFAULT_TRUNK_THRESHOLD, t.n)
+        threshold = (min(DEFAULT_TRUNK_THRESHOLD, t.n) if trunk_threshold is None
+                     else trunk_threshold)
         split = split_trunk(t, threshold)
         if split.trunk is None:
             # the whole tree is small enough to place exhaustively
@@ -196,7 +197,6 @@ def run_pipeline(
     cur_to_orig: list[int] = list(range(n))
     cur_g = g
     cur_x: Optional[PerfectFractionalMatching] = None
-    cur_h = 0.0  # matching_entropy(cur_x)
     method = "scaling"
 
     def partial_trace() -> PipelineTrace:
@@ -214,7 +214,6 @@ def run_pipeline(
                     # a rebuilt host can leave a vertex with no arcs; the
                     # caller's input was valid, so this is a failed stage
                     raise ProcedureError(str(exc)) from exc
-                cur_h = matching_entropy(cur_x)
                 method = "scaling"
             # stage 0 starts anywhere; later stages at the augmented root,
             # the attach vertex u, always the last id
@@ -245,11 +244,8 @@ def run_pipeline(
                 host_size=cur_g.n,
                 matching_method=method,
                 b_normality=normality(cur_x).b_min,
-                entropy=cur_h,
-                sum_residual=float(max(
-                    abs(cur_x.weights.sum(axis=1) - 1.0).max(),
-                    abs(cur_x.weights.sum(axis=0) - 1.0).max(),
-                )),
+                entropy=matching_entropy(cur_x),
+                sum_residual=cur_x.residual,
                 epsilon=float(epsilon_of(cur_g)),
                 retries=retries,
                 root_image=images[0],
@@ -277,10 +273,8 @@ def run_pipeline(
                     np.flatnonzero(~alive).tolist(),
                     attach_out=attach_out.tolist(),
                     attach_in=attach_in.tolist(),
-                    entropy=cur_h,
                 )
                 cur_g, cur_x = res.matching.host, res.matching
-                cur_h = res.report.entropy
                 method = "rebalance"
             except ProcedureError:
                 # the attached vertex's arcs are g's arcs between the anchor

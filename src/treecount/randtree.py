@@ -24,11 +24,12 @@ roots alone:
 Both paths give the same images and log-probabilities from the same random
 stream, bit for bit.  Images come out as ``_image_dtype(n)``: uint16 up to
 n = 65,536 and uint32 above, so 2 bytes per tree vertex per sample rather
-than 8.  Rows (and guides) are built on first use and kept for the call:
-about one row per tree edge for a single draw, at most n per direction for
-a batch.  Besides those and its output, a batch holds one column of
-uniforms per tree edge and a few temporaries of ``_BLOCK`` samples, each
-small enough for L2, not a samples x n block per tree edge.
+than 8.  A single draw sums a row on its first use and keeps it for the
+call, about one row per tree edge.  A batch sums every row once per
+direction, at that direction's first tree edge, with its guide row, and
+keeps them for the call.  Besides those and its output, a batch holds one
+column of uniforms per tree edge and a few temporaries of ``_BLOCK``
+samples, each small enough for L2, not a samples x n block per tree edge.
 """
 
 from __future__ import annotations
@@ -183,8 +184,8 @@ def _draw_many(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Embeddings by a guided linear search (the cutpoint method).
 
-    Per direction, the rows that parents use are summed on first use and
-    kept for the call, each with its n-bucket guide row (``_guide_rows``).
+    Every row of a direction is summed at that direction's first tree edge
+    and kept for the call, each with its n-bucket guide row (``_guide_rows``).
     A sample with uniform u and parent r sets ``target = u * cdf[r, -1]``,
     starts at ``a = guide[r, min(floor(u n), n - 1)]``, walks forward while
     ``cdf[r, a] < target`` and then back while ``a > 0`` and
@@ -193,15 +194,15 @@ def _draw_many(
     cell whatever the guide says: the guide sets the speed, never the
     image.  A sample that moved forward needs no backward step.
 
-    Per tree edge, the rows are built from all parents and one uniform is
-    drawn for every sample, so the random stream does not depend on the
-    block size.  The rest of the edge runs over blocks of ``_BLOCK``
-    samples: each casts its parents, walks and writes its images and
-    log-probabilities.  Its temporaries take ``_BLOCK`` x 8 bytes each,
-    128 KiB, and stay in L2 rather than stream k x 8 bytes through memory
-    at every step; a block computes each sample from the same uniform in
-    the same order, so the block size changes no bit.  Zero-weight draws
-    are counted over the whole edge before the error is raised.
+    Per tree edge, one uniform is drawn for every sample, so the random
+    stream does not depend on the block size.  The rest of the edge runs
+    over blocks of ``_BLOCK`` samples: each casts its parents, walks and
+    writes its images and log-probabilities.  Its temporaries take
+    ``_BLOCK`` x 8 bytes each, 128 KiB, and stay in L2 rather than stream
+    k x 8 bytes through memory at every step; a block computes each sample
+    from the same uniform in the same order, so the block size changes no
+    bit.  Zero-weight draws are counted over the whole edge before the
+    error is raised.
 
     Images are stored as ``_image_dtype(n)`` and every index is computed
     in intp: each block casts its parents once, and each block of a child
@@ -210,9 +211,7 @@ def _draw_many(
     n, k = x.n, len(roots)
     trans = _transition_matrices(x)
     w = np.ascontiguousarray(x.weights).ravel()
-    small = np.min_scalar_type(n - 1)
-    tables: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = {}
-    used = np.zeros(n, dtype=bool)
+    tables: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
     # one contiguous row of images per tree vertex, returned transposed
     images = np.empty((t.n, k), dtype=_image_dtype(n))
     images[0] = roots
@@ -220,19 +219,11 @@ def _draw_many(
     for i, (v, j) in enumerate(zip(t.bfs_order[1:], t.parent_pos[1:]), 1):
         d = t.edge_dir[v]
         if d not in tables:
-            tables[d] = (np.empty((n, n)), np.empty((n, n), dtype=small),
-                         np.empty(n), np.zeros(n, dtype=bool))
-        cdf, guide, totals, built = tables[d]
-        if not built.all():
-            used[:] = False
-            used[images[j]] = True
-            new = np.flatnonzero(used & ~built)
-            rows = np.cumsum(trans[d][new], axis=1)
-            cdf[new] = rows
-            guide[new] = _guide_rows(rows, small)
-            totals[new] = rows[:, -1]
-            built[new] = True
-        flat, starts = cdf.ravel(), guide.ravel()
+            # row-major even for UP, whose rows are columns of the weights
+            cdf = np.cumsum(trans[d], axis=1, out=np.empty((n, n)))
+            guide = _guide_rows(cdf, np.min_scalar_type(n - 1))
+            tables[d] = (cdf.ravel(), guide.ravel(), cdf[:, -1].copy())
+        flat, starts, totals = tables[d]
         # one draw per edge keeps the random stream; the rest runs a block
         # of samples at a time
         uniforms = rng.random(k)

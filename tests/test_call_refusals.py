@@ -87,6 +87,10 @@ CALL_REFUSALS = [
     (lambda: split_trunk(path_tree(5), 0), "threshold must be in 1..5"),
     (lambda: split_trunk(path_tree(5), 6), "threshold must be in 1..5"),
     (
+        lambda: run_pipeline(complete_digraph(6), path_tree(6), trunk_threshold=0),
+        "threshold must be in 1..6",
+    ),
+    (
         lambda: PerfectFractionalMatching(K4, np.zeros((3, 3))),
         "weight matrix must be 4x4, got (3, 3)",
     ),

@@ -336,6 +336,17 @@ def test_pipeline_low_degree_exit_1(tmp_path):
     assert main(["pipeline", str(g), str(t)]) == 1
 
 
+@pytest.mark.parametrize("threshold", ["0", "-1", "7"])
+def test_pipeline_bad_threshold_exit_2(tmp_path, k6_file, threshold, capsys):
+    t = tmp_path / "p6.txt"
+    t.write_text(write_tree_text(path_tree(6)))
+    out = tmp_path / "trace.json"
+    argv = ["pipeline", k6_file, str(t), "--threshold", threshold, "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: threshold must be in 1..6\n"
+    assert not out.exists()
+
+
 def test_verify_command_csv(tmp_path, path5_file):
     g = tmp_path / "k5.txt"
     g.write_text(write_graph_text(complete_digraph(5)))

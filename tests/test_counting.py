@@ -354,6 +354,19 @@ def test_estimator_ci_covers_brute():
     assert low <= brute <= high or abs(rep.labelled - brute) / brute < 0.02
 
 
+def test_estimator_ci_low_end_is_never_negative():
+    # mean - 1.96 se is -468137.0 here; no count is below 0
+    rng = np.random.default_rng([7, 12])
+    g = random_dense_digraph(rng, 12, 7, keep_prob=1.0)
+    t = random_tree(rng, 12, max_deg=4)
+    x, _ = max_entropy_matching(g)
+    rep = estimate_copies(g, x, t, samples=20000, seed=0)
+    low, high, conf = rep.ci
+    assert low == 0.0 and conf == 0.95
+    assert high == pytest.approx(7586513.3, abs=0.1)
+    assert low <= count_copies_brute(g, t).labelled == 2420251 <= high
+
+
 def test_estimator_zero_variance_single_vertex():
     g = complete_digraph(5)
     x, _ = max_entropy_matching(g)

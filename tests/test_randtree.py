@@ -545,6 +545,24 @@ def test_batch_working_memory_is_bounded_by_blocks():
     assert peak < output + 8 * 2**20
 
 
+def test_batch_tables_are_built_whole():
+    # the output of 200,000 samples of a 10-vertex path is 5.5 MiB; each
+    # direction's kept tables in K_400 take 1.5 MiB, and building them row
+    # by row through gathered copies and scatters needed 8.1 MiB more
+    x = uniform_matching(400)
+    t = path_tree(10)
+    # a first batch loads numpy's random modules and warms the allocator
+    sample_trees_batch(x.host, x, t, 1000, seed=0)
+    tracemalloc.start()
+    try:
+        batch = sample_trees_batch(x.host, x, t, 200_000, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    output = batch.images.nbytes + batch.log_probs.nbytes + batch.self_avoiding.nbytes
+    assert peak < output + 7 * 2**20
+
+
 def test_batch_csv():
     x = uniform_matching(4)
     t = path_tree(3)
