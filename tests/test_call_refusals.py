@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from treecount.counting import count_copies_brute
+from treecount.counting import count_copies_brute, estimate_copies
 from treecount.entropy import (
     DiscreteDistribution,
     EventMask,
@@ -81,6 +81,11 @@ CALL_REFUSALS = [
     (
         lambda: sample_trees_batch(K4, X4, path_tree(2), 10, 0, start=-1),
         "start vertex -1 out of range",
+    ),
+    (lambda: estimate_copies(K4, X4, path_tree(2), 0, 0), "need at least one sample"),
+    (
+        lambda: estimate_copies(complete_digraph(5), X4, path_tree(2), 10, 0),
+        "matching host differs from the given graph",
     ),
     (lambda: count_copies_brute(K4, path_tree(3), root_image=4), "root image 4 out of range"),
     (lambda: count_copies_brute(K4, path_tree(3), root_image=-1), "root image -1 out of range"),

@@ -260,6 +260,15 @@ def test_sample_bad_counts_exit_2(tmp_path, k6_file, path5_file, counts, capsys)
     assert not out.exists()
 
 
+def test_count_estimate_without_samples_exit_2(tmp_path, k6_file, path5_file, capsys):
+    out = tmp_path / "c.json"
+    args = ["count", k6_file, path5_file, "--mode", "estimate", "--samples", "0",
+            "--out", str(out)]
+    assert main(args) == 2
+    assert capsys.readouterr().err.startswith("error: need at least one sample")
+    assert not out.exists()
+
+
 def test_mixing_command(tmp_path, k6_file):
     out = str(tmp_path / "mixing.json")
     assert main(["mixing", k6_file, "--t-max", "40", "--out", out]) == 0

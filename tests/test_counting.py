@@ -27,8 +27,10 @@ from treecount.graphs import (
     complete_digraph,
     directed_cycle,
 )
+from treecount import randtree
 from treecount.matching import max_entropy_matching, normality
-from treecount.trees import DOWN, RootedOrientedTree, path_tree
+from treecount.randtree import sample_trees_batch
+from treecount.trees import DOWN, UP, RootedOrientedTree, path_tree
 
 
 def _first_embedding(g, t, root_image):
@@ -374,6 +376,87 @@ def test_estimator_zero_variance_single_vertex():
     rep = estimate_copies(g, x, t, samples=100, seed=0)
     assert rep.labelled == pytest.approx(5.0)
     assert rep.ci[0] == pytest.approx(5.0) and rep.ci[1] == pytest.approx(5.0)
+
+
+def batch_estimate(g, x, t, samples, seed):
+    """The estimate, computed from the batch sampler's rows as it was before
+    the estimator retired self-intersecting samples: mean and interval."""
+    batch = sample_trees_batch(g, x, t, samples, seed)
+    vals = np.where(batch.self_avoiding, g.n * np.exp2(-batch.log_probs), 0.0)
+    mean = float(vals.mean())
+    se = float(vals.std(ddof=1) / math.sqrt(len(vals))) if len(vals) > 1 else 0.0
+    ci = (max(0.0, mean - 1.959963984540054 * se), mean + 1.959963984540054 * se, 0.95)
+    return int(batch.self_avoiding.sum()), mean, ci
+
+
+def _complete_host(rng):
+    g = complete_digraph(30)
+    return g, random_tree(rng, 12, max_deg=4)
+
+
+def _dense_host(rng):
+    g = random_dense_digraph(rng, 40, 24)
+    return g, random_tree(rng, 9, max_deg=4)
+
+
+def _wide_host(rng):
+    # images past 255, so a uint8 image would wrap
+    return complete_digraph(300), random_tree(rng, 20, max_deg=4)
+
+
+@pytest.mark.parametrize("make, samples, block", [
+    (_complete_host, 20_000, None),
+    (_dense_host, 20_000, None),
+    (_wide_host, 5_000, None),
+    (_dense_host, 3 * 7 + 5, 7),
+    (_complete_host, 3 * 1000 + 5, 1000),
+    (_complete_host, 1, None),
+], ids=["complete", "dense", "n300", "blocks7", "blocks1000", "one-sample"])
+def test_estimator_equals_batch_reference(monkeypatch, make, samples, block):
+    rng = np.random.default_rng([23, samples])
+    g, t = make(rng)
+    assert {t.edge_dir[v] for v in t.bfs_order[1:]} == {DOWN, UP}
+    x, _ = max_entropy_matching(g)
+    seed = int(rng.integers(2**31))
+    if block is not None:
+        monkeypatch.setattr(randtree, "_BLOCK", block)
+    hits, mean, ci = batch_estimate(g, x, t, samples, seed)
+    assert hits > 0
+    rep = estimate_copies(g, x, t, samples=samples, seed=seed)
+    assert rep.labelled == mean and rep.ci == ci
+    assert rep.unlabelled == mean / rep.aut
+
+
+def test_estimator_single_vertex_equals_batch_reference():
+    g = complete_digraph(7)
+    x, _ = max_entropy_matching(g)
+    t = RootedOrientedTree([-1], [None])
+    hits, mean, ci = batch_estimate(g, x, t, 50, 3)
+    rep = estimate_copies(g, x, t, samples=50, seed=3)
+    assert hits == 50 and rep.labelled == mean and rep.ci == ci
+
+
+def test_estimator_tree_larger_than_host_is_zero():
+    # every draw of 7 images in 5 host vertices repeats one
+    g = complete_digraph(5)
+    x, _ = max_entropy_matching(g)
+    rep = estimate_copies(g, x, path_tree(7), samples=1000, seed=0)
+    assert rep.labelled == 0.0
+
+
+def test_estimator_refuses_zero_weights_first():
+    # the zero-weight refusal comes before the sample count and host checks
+    g = complete_digraph(3)
+    w = np.zeros((3, 3))
+    w[0, 1] = w[1, 2] = w[2, 0] = 1.0
+    from treecount.matching import PerfectFractionalMatching
+
+    x = PerfectFractionalMatching(g, w)
+    gaps = "matching has zero-weight arcs; the estimator would be biased"
+    with pytest.raises(InputError, match=gaps):
+        estimate_copies(g, x, path_tree(2), samples=0, seed=0)
+    with pytest.raises(InputError, match=gaps):
+        estimate_copies(complete_digraph(4), x, path_tree(2), samples=10, seed=0)
 
 
 def test_estimator_rejects_support_gaps():
