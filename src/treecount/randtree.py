@@ -147,9 +147,7 @@ def _draw_one(
         child = int(cdf.searchsorted(rng.random() * cdf[-1]))
         p = trans[d][r, child]
         if p <= 0:
-            raise ProcedureError(
-                "sampled a zero-weight arc; matching has support gaps", count=1
-            )
+            raise _support_gap(1)
         images.append(child)
         weights.append(p)
     log_prob = 0.0
@@ -185,7 +183,133 @@ def _draw_many(
     """Embeddings by a guided linear search (the cutpoint method).
 
     Every row of a direction is summed at that direction's first tree edge
-    and kept for the call, each with its n-bucket guide row (``_guide_rows``).
+    and kept for the call, each with its n-bucket guide row (``_edges``).
+    Per tree edge, one uniform is drawn for every sample, so the random
+    stream does not depend on the block size.  The rest of the edge runs
+    over blocks of ``_BLOCK`` samples, each searched by ``_walk``: its
+    temporaries take ``_BLOCK`` x 8 bytes each, 128 KiB, and stay in L2
+    rather than stream k x 8 bytes through memory at every step; a block
+    computes each sample from the same uniform in the same order, so the
+    block size changes no bit.  Zero-weight draws are counted over the
+    whole edge before the error is raised.
+    """
+    k = len(roots)
+    w = np.ascontiguousarray(x.weights).ravel()
+    # one contiguous row of images per tree vertex, returned transposed
+    images = np.empty((t.n, k), dtype=_image_dtype(x.n))
+    images[0] = roots
+    log_probs = np.zeros(k)
+    for i, j, table, up in _edges(x, t):
+        uniforms = rng.random(k)
+        bad = 0
+        for lo in range(0, k, _BLOCK):
+            hi = min(lo + _BLOCK, k)
+            bad += _walk(table, w, up, images[j, lo:hi], uniforms[lo:hi],
+                         images[i, lo:hi], log_probs[lo:hi])
+        if bad:
+            raise _support_gap(bad)
+    return images.T, log_probs
+
+
+def _self_avoiding_draws(
+    x: PerfectFractionalMatching,
+    t: RootedOrientedTree,
+    roots: np.ndarray,
+    rng: np.random.Generator,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The self-avoiding draws of ``_draw_many``: their sample indices, in
+    increasing order, and their base-2 log-probabilities.
+
+    Each tree edge draws ``rng.random(k)`` for every sample, as
+    ``_draw_many`` does, so the stream and every uniform stay the same; and
+    each live sample is searched by the same ``_walk``, so every hit's
+    images and log-probability are ``_draw_many``'s, bit for bit.  Only the
+    live samples are searched: a sample retires at the first tree edge
+    whose image repeats one of its earlier images, and zero-weight draws
+    are counted over the live samples only.
+
+    The images are kept as one row per tree vertex over the kept samples,
+    with each kept sample's partial log-probability, summed in edge order.
+    A retired sample stays kept, and its cells are ignored, until a quarter
+    of the kept samples have retired; then the rows, the sums and the
+    sample indices are cut down to the live ones.
+    """
+    k = len(roots)
+    w = np.ascontiguousarray(x.weights).ravel()
+    rows = [roots.astype(_image_dtype(x.n), copy=False)]  # BFS position i
+    log_probs = np.zeros(k)
+    ids = None    # the sample index of each kept sample, once some are cut
+    alive = None  # which kept samples are live, once some have retired
+    uniforms = np.empty(k)
+    for i, j, table, up in _edges(x, t):
+        if alive is not None and 4 * np.count_nonzero(alive) <= 3 * len(alive):
+            live = np.flatnonzero(alive)
+            for m in range(i):  # in place, so that each old row is freed
+                rows[m] = rows[m][live]
+            log_probs = log_probs[live]
+            ids = live if ids is None else ids[live]
+            alive = None
+        rng.random(k, out=uniforms)
+        child = np.empty_like(rows[0])
+        bad = 0
+        for lo in range(0, len(log_probs), _BLOCK):
+            # while every kept sample is live, a slice: views, not gathers
+            at = (slice(lo, lo + _BLOCK) if alive is None
+                  else lo + np.flatnonzero(alive[lo:lo + _BLOCK]))
+            u = uniforms[at if ids is None else ids[at]]
+            cells, sums = child[at], log_probs[at]
+            bad += _walk(table, w, up, rows[j][at], u, cells, sums)
+            if alive is not None:
+                child[at], log_probs[at] = cells, sums
+        if bad:
+            raise _support_gap(bad)
+        repeat = rows[0] == child
+        for m in range(1, i):
+            repeat |= rows[m] == child
+        rows.append(child)
+        if alive is None:
+            if repeat.any():
+                alive = ~repeat
+        else:
+            alive &= ~repeat  # a retired sample's cells are not images
+    if alive is None:
+        return np.arange(k) if ids is None else ids, log_probs
+    return np.flatnonzero(alive) if ids is None else ids[alive], log_probs[alive]
+
+
+def _edges(x: PerfectFractionalMatching, t: RootedOrientedTree):
+    """Per tree edge in BFS order: the child's and the parent's BFS
+    positions, the search table of the parent images' rows, and whether the
+    edge points up.
+
+    A direction's table is built at its first tree edge and kept for the
+    call: every row's cumulative weights, flat and row-major even for UP,
+    whose rows are columns of the weights; their n-bucket guide rows
+    (``_guide_rows``); and the row totals.
+    """
+    n = x.n
+    trans = _transition_matrices(x)
+    tables = {}
+    for i, (v, j) in enumerate(zip(t.bfs_order[1:], t.parent_pos[1:]), 1):
+        d = t.edge_dir[v]
+        if d not in tables:
+            cdf = np.cumsum(trans[d], axis=1, out=np.empty((n, n)))
+            guide = _guide_rows(cdf, np.min_scalar_type(n - 1))
+            tables[d] = (cdf.ravel(), guide.ravel(), cdf[:, -1].copy())
+        yield i, j, tables[d], d == UP
+
+
+def _walk(
+    table: tuple[np.ndarray, np.ndarray, np.ndarray],
+    w: np.ndarray,
+    up: bool,
+    parents: np.ndarray,
+    u: np.ndarray,
+    children: np.ndarray,
+    log_probs: np.ndarray,
+) -> int:
+    """One tree edge for one block of samples; returns its zero-weight draws.
+
     A sample with uniform u and parent r sets ``target = u * cdf[r, -1]``,
     starts at ``a = guide[r, min(floor(u n), n - 1)]``, walks forward while
     ``cdf[r, a] < target`` and then back while ``a > 0`` and
@@ -194,85 +318,56 @@ def _draw_many(
     cell whatever the guide says: the guide sets the speed, never the
     image.  A sample that moved forward needs no backward step.
 
-    Per tree edge, one uniform is drawn for every sample, so the random
-    stream does not depend on the block size.  The rest of the edge runs
-    over blocks of ``_BLOCK`` samples: each casts its parents, walks and
-    writes its images and log-probabilities.  Its temporaries take
-    ``_BLOCK`` x 8 bytes each, 128 KiB, and stay in L2 rather than stream
-    k x 8 bytes through memory at every step; a block computes each sample
-    from the same uniform in the same order, so the block size changes no
-    bit.  Zero-weight draws are counted over the whole edge before the
-    error is raised.
-
-    Images are stored as ``_image_dtype(n)`` and every index is computed
-    in intp: each block casts its parents once, and each block of a child
-    row is written straight from the flat cells.
+    The cells go to ``children``, and log2 of their weights is added to
+    ``log_probs`` unless one of them is 0.  ``u`` is overwritten.  The
+    parents are cast to intp once, since a gather costs about 3x as much
+    with uint16 indices as with intp ones, and every index is computed in
+    intp.
     """
-    n, k = x.n, len(roots)
-    trans = _transition_matrices(x)
-    w = np.ascontiguousarray(x.weights).ravel()
-    tables: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-    # one contiguous row of images per tree vertex, returned transposed
-    images = np.empty((t.n, k), dtype=_image_dtype(n))
-    images[0] = roots
-    log_probs = np.zeros(k)
-    for i, (v, j) in enumerate(zip(t.bfs_order[1:], t.parent_pos[1:]), 1):
-        d = t.edge_dir[v]
-        if d not in tables:
-            # row-major even for UP, whose rows are columns of the weights
-            cdf = np.cumsum(trans[d], axis=1, out=np.empty((n, n)))
-            guide = _guide_rows(cdf, np.min_scalar_type(n - 1))
-            tables[d] = (cdf.ravel(), guide.ravel(), cdf[:, -1].copy())
-        flat, starts, totals = tables[d]
-        # one draw per edge keeps the random stream; the rest runs a block
-        # of samples at a time
-        uniforms = rng.random(k)
-        bad = 0
-        for lo in range(0, k, _BLOCK):
-            hi = min(lo + _BLOCK, k)
-            # cast once per block: a gather costs about 3x as much with
-            # uint16 indices as with intp ones
-            parents = images[j, lo:hi].astype(np.intp)
-            u = uniforms[lo:hi]
-            target = totals[parents]
-            target *= u
-            base = parents * n  # flat index of each parent's row
-            u *= n
-            at = u.astype(np.intp)  # the bucket floor(u n)
-            np.minimum(at, n - 1, out=at)
-            at += base
-            np.add(base, starts[at], out=at)  # the flat start cell
-            move = np.flatnonzero(flat[at] < target)
-            while move.size:
-                at[move] += 1
-                move = move[flat[at[move]] < target[move]]
-            # where at == base, at - 1 reads outside the row, and at > base
-            # discards it
-            move = np.flatnonzero((at > base) & (flat[at - 1] >= target))
-            while move.size:
-                at[move] -= 1
-                move = move[(at[move] > base[move])
-                            & (flat[at[move] - 1] >= target[move])]
-            # every cell is below n, so the narrow image row holds it
-            np.subtract(at, base, out=images[i, lo:hi], casting="unsafe")
-            if d == UP:
-                # trans[UP][parent, child] is w[child, parent], whose flat
-                # index is computed in intp, where child * n cannot overflow
-                at -= base
-                at *= n
-                at += parents
-            p = w[at]
-            zero = np.count_nonzero(p <= 0)
-            if zero:
-                bad += zero  # counted over the whole edge, then raised
-                continue
-            log_probs[lo:hi] += np.log2(p)
-        if bad:
-            raise ProcedureError(
-                "sampled a zero-weight arc; matching has support gaps",
-                count=bad,
-            )
-    return images.T, log_probs
+    flat, starts, totals = table
+    n = len(totals)
+    parents = parents.astype(np.intp)
+    target = totals[parents]
+    target *= u
+    base = parents * n  # flat index of each parent's row
+    u *= n
+    at = u.astype(np.intp)  # the bucket floor(u n)
+    np.minimum(at, n - 1, out=at)
+    at += base
+    np.add(base, starts[at], out=at)  # the flat start cell
+    # most samples step forward once or not at all: one step for every
+    # sample, which stops none early, since cdf rows do not decrease
+    at += flat[at] < target
+    move = np.flatnonzero(flat[at] < target)
+    while move.size:
+        at[move] += 1
+        move = move[flat[at[move]] < target[move]]
+    # where at == base, at - 1 reads outside the row, and at > base
+    # discards it
+    move = np.flatnonzero((at > base) & (flat[at - 1] >= target))
+    while move.size:
+        at[move] -= 1
+        move = move[(at[move] > base[move])
+                    & (flat[at[move] - 1] >= target[move])]
+    # every cell is below n, so the narrow image row holds it
+    np.subtract(at, base, out=children, casting="unsafe")
+    if up:
+        # trans[UP][parent, child] is w[child, parent], whose flat index is
+        # computed in intp, where child * n cannot overflow
+        at -= base
+        at *= n
+        at += parents
+    p = w[at]
+    zero = np.count_nonzero(p <= 0)
+    if not zero:
+        log_probs += np.log2(p)
+    return zero
+
+
+def _support_gap(count: int) -> ProcedureError:
+    return ProcedureError(
+        "sampled a zero-weight arc; matching has support gaps", count=count
+    )
 
 
 def sample_tree(
@@ -331,6 +426,24 @@ def sample_trees_batch(
     start: Optional[int] = None,
 ) -> RealisationBatch:
     """Vectorized sampler; start=None draws the root uniformly at random."""
+    roots, rng = _batch_roots(g, x, samples, seed, worker, start)
+    images, log_probs = _draw(x, t, roots, rng)
+    return RealisationBatch(
+        seed=seed, worker=worker, images=images, log_probs=log_probs,
+        self_avoiding=_distinct_rows(images),
+    )
+
+
+def _batch_roots(
+    g: Digraph,
+    x: PerfectFractionalMatching,
+    samples: int,
+    seed: int,
+    worker: int = 0,
+    start: Optional[int] = None,
+) -> tuple[np.ndarray, np.random.Generator]:
+    """Check a batch's arguments; return its roots and the stream that
+    draws the rest of it."""
     _check_inputs(g, x, start)
     if samples < 1:
         raise InputError("need at least one sample")
@@ -339,11 +452,7 @@ def sample_trees_batch(
         _malloc_trim(0)  # hand freed heap pages back before the batch's own
     roots = (np.full(samples, start) if start is not None
              else rng.integers(0, g.n, size=samples))
-    images, log_probs = _draw(x, t, roots, rng)
-    return RealisationBatch(
-        seed=seed, worker=worker, images=images, log_probs=log_probs,
-        self_avoiding=_distinct_rows(images),
-    )
+    return roots.astype(_image_dtype(g.n)), rng
 
 
 def _distinct_rows(images: np.ndarray) -> np.ndarray:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -442,6 +443,24 @@ def test_estimator_tree_larger_than_host_is_zero():
     x, _ = max_entropy_matching(g)
     rep = estimate_copies(g, x, path_tree(7), samples=1000, seed=0)
     assert rep.labelled == 0.0
+
+
+def test_estimator_holds_no_image_per_sample():
+    # a k x 30 image array of 200,000 samples takes 11.4 MiB as uint16, and
+    # the estimate peaked at 18.0 MiB when it kept one; the retiring draws
+    # keep rows of the live samples only, which few of them stay
+    g = complete_digraph(100)
+    x, _ = max_entropy_matching(g)
+    t = random_tree(np.random.default_rng(30), 30, max_deg=4)
+    # a first estimate loads numpy's random modules and warms the allocator
+    estimate_copies(g, x, t, samples=1000, seed=0)
+    tracemalloc.start()
+    try:
+        estimate_copies(g, x, t, samples=200_000, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 13 * 2**20
 
 
 def test_estimator_refuses_zero_weights_first():

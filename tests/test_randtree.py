@@ -18,6 +18,7 @@ from treecount.matching import (
 )
 from treecount.randtree import (
     _draw,
+    _self_avoiding_draws,
     batch_to_csv,
     exact_tree_entropy,
     hr_lower_bound,
@@ -365,16 +366,20 @@ def test_draw_matches_complex_key_reference(k):
 
 class Uniforms:
     """Stands in for a Generator: every draw gets the same crafted uniforms,
-    all of them for ``random(k)`` and the first for ``random()``."""
+    all of them for ``random(k)``, also into ``out``, and the first for
+    ``random()``."""
 
     def __init__(self, u):
         self.u = np.asarray(u, dtype=float)
 
-    def random(self, size=None):
+    def random(self, size=None, out=None):
         if size is None:
             return float(self.u[0])
         assert size == len(self.u)
-        return self.u.copy()
+        if out is None:
+            return self.u.copy()
+        out[...] = self.u
+        return out
 
 
 def bucket_edges(n):
@@ -561,6 +566,77 @@ def test_batch_tables_are_built_whole():
         tracemalloc.stop()
     output = batch.images.nbytes + batch.log_probs.nbytes + batch.self_avoiding.nbytes
     assert peak < output + 7 * 2**20
+
+
+def distinct_rows(images):
+    srt = np.sort(images, axis=1)
+    return np.all(srt[:, 1:] != srt[:, :-1], axis=1)
+
+
+@pytest.mark.parametrize("block", [64, 2**14])
+@pytest.mark.parametrize("make, size", [
+    (lambda rng: sparse_random_matching(rng, 40), 10),
+    (lambda rng: permutation_average_matching(rng, 50, 3), 12),
+    (lambda rng: max_entropy_matching(random_dense_digraph(rng, 60, 35))[0], 20),
+    (lambda rng: uniform_matching(300), 30),
+], ids=["sparse40", "ties50", "dense60", "k300"])
+def test_self_avoiding_draws_are_the_batch_hits(monkeypatch, make, size, block):
+    # the retiring driver returns the rows of _draw_many whose images are
+    # distinct, with the same log-probabilities, bit for bit, and leaves
+    # the stream where _draw_many leaves it; many samples retire, so the
+    # kept rows are cut several times
+    monkeypatch.setattr(randtree, "_BLOCK", block)
+    rng = np.random.default_rng([19, size])
+    x = make(rng)
+    t = random_tree(rng, size, max_deg=4)
+    assert {t.edge_dir[v] for v in t.bfs_order[1:]} == {UP, DOWN}
+    roots = rng.integers(0, x.n, size=5000)
+    seed = int(rng.integers(2**32))
+    batch_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    images, log_probs = _draw(x, t, roots, batch_rng)
+    hits, hit_log_probs = _self_avoiding_draws(x, t, roots, rng)
+    distinct = distinct_rows(images)
+    assert 0 < distinct.sum() < 5000
+    assert np.array_equal(hits, np.flatnonzero(distinct))
+    assert np.array_equal(hit_log_probs, log_probs[distinct])
+    assert rng.random() == batch_rng.random()
+
+
+def test_self_avoiding_draws_with_no_hits_or_no_edges():
+    x = uniform_matching(5)
+    roots = np.arange(20) % 5
+    hits, log_probs = _self_avoiding_draws(x, path_tree(6), roots, np.random.default_rng(0))
+    assert hits.size == 0 and log_probs.size == 0
+    one = RootedOrientedTree([-1], [None])
+    hits, log_probs = _self_avoiding_draws(x, one, roots, np.random.default_rng(0))
+    assert hits.tolist() == list(range(20)) and not log_probs.any()
+
+
+def test_zero_weight_draws_count_live_samples_only():
+    # row 4 of the weights is empty, so every sample whose first child is
+    # vertex 4 draws a zero-weight arc at the third edge; the second edge
+    # draws from column 4, and where it lands on the root the sample has
+    # retired, so the retiring driver counts only the others
+    w = np.ones((12, 12))
+    np.fill_diagonal(w, 0.0)
+    w[4] = 0.0
+    x = PerfectFractionalMatching(Digraph(12, zip(*np.nonzero(w))), w, tol=math.inf)
+    t = RootedOrientedTree([-1, 0, 1, 1], [None, DOWN, UP, DOWN])
+    assert t.bfs_order == (0, 1, 2, 3)
+    edges = bucket_edges(x.n)[1:]  # u > 0: every other draw has weight
+    roots = np.repeat(np.delete(np.arange(12), 4), len(edges))
+    u = np.tile(edges, 11)
+    with np.errstate(divide="ignore"):
+        images, _ = complex_key_draw(x, t, roots, Uniforms(u))
+    zero = images[:, 1] == 4
+    live = distinct_rows(images[:, :3])
+    assert 0 < np.count_nonzero(zero & live) < np.count_nonzero(zero)
+    with pytest.raises(ProcedureError) as err:
+        _draw(x, t, roots, Uniforms(u))
+    assert err.value.diagnostics["count"] == np.count_nonzero(zero)
+    with pytest.raises(ProcedureError, match="zero-weight arc") as err:
+        _self_avoiding_draws(x, t, roots, Uniforms(u))
+    assert err.value.diagnostics["count"] == np.count_nonzero(zero & live)
 
 
 def test_batch_csv():
