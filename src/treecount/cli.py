@@ -86,13 +86,15 @@ def cmd_count(args) -> int:
     bound = directed_lower_bound(
         BoundInputs(n=g.n, h=h, eps=args.eps, aut=rep.aut)
     )
+    # an estimate with no self-avoiding draw cannot decide the bound
+    undecided = rep.method == "estimator" and rep.labelled == 0
     payload = _json({
         "count": count_report_to_dict(rep),
         "h_bits": h,
         "aut": rep.aut,
         "bound_log2": bound.log2,
         "bound_value": bound.value,
-        "holds": (rep.unlabelled or 0) >= bound.value,
+        "holds": None if undecided else (rep.unlabelled or 0) >= bound.value,
         "note": note,
     })
     _emit(args, payload, "count.json")

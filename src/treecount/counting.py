@@ -339,7 +339,8 @@ def estimate_copies(
     so a zero-weight draw is counted, and refused, only on a sample that
     is still self-avoiding.  The interval is the normal 95% one,
     mean +- z * se, with its low end raised to 0, since no count is
-    negative.
+    negative.  When no draw is self-avoiding, the estimate is 0 and the
+    interval (0, inf): the draws show only that copies are rare.
     """
     if not x.weights[x.host.mask].all():
         raise InputError(
@@ -350,8 +351,12 @@ def estimate_copies(
     vals = np.zeros(samples)
     vals[hits] = g.n * np.exp2(-log_probs)
     mean = float(vals.mean())
-    se = float(vals.std(ddof=1) / math.sqrt(len(vals))) if len(vals) > 1 else 0.0
-    ci = (max(0.0, mean - _Z_95 * se), mean + _Z_95 * se, 0.95)
+    if len(hits):
+        se = float(vals.std(ddof=1) / math.sqrt(len(vals))) if len(vals) > 1 else 0.0
+        ci = (max(0.0, mean - _Z_95 * se), mean + _Z_95 * se, 0.95)
+    else:
+        # every sample was zero, and a zero spread bounds nothing
+        ci = (0.0, math.inf, 0.95)
     aut = automorphism_count(t, rooted=False, respect_orientation=True)
     return CountReport(
         labelled=mean, unlabelled=mean / aut, method="estimator", ci=ci, aut=aut

@@ -260,6 +260,23 @@ def test_sample_bad_counts_exit_2(tmp_path, k6_file, path5_file, counts, capsys)
     assert not out.exists()
 
 
+def test_count_estimate_without_hits_holds_null(tmp_path):
+    # no draw of the spanning tree is self-avoiding, so the estimate is 0
+    # and cannot decide the bound; brute counts 139,284,716 copies
+    rng = np.random.default_rng([7, 14])
+    g = tmp_path / "g14.txt"
+    g.write_text(write_graph_text(random_dense_digraph(rng, 14, 8, keep_prob=1.0)))
+    t = tmp_path / "t14.txt"
+    t.write_text(write_tree_text(random_tree(rng, 14, max_deg=4)))
+    out = tmp_path / "count.json"
+    assert main(["count", str(g), str(t), "--mode", "estimate",
+                 "--samples", "20000", "--seed", "0", "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert payload["count"]["labelled"] == 0.0
+    assert payload["count"]["ci"] == {"low": 0.0, "high": math.inf, "confidence": 0.95}
+    assert payload["holds"] is None
+
+
 def test_count_estimate_without_samples_exit_2(tmp_path, k6_file, path5_file, capsys):
     out = tmp_path / "c.json"
     args = ["count", k6_file, path5_file, "--mode", "estimate", "--samples", "0",

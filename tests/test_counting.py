@@ -463,6 +463,19 @@ def test_estimator_holds_no_image_per_sample():
     assert peak < 13 * 2**20
 
 
+def test_estimator_without_hits_gives_no_confident_zero():
+    # a spanning tree of a host thinned to semidegree 8 of 14, whose exact
+    # count is 139,284,716: none of 20,000 draws is self-avoiding, and the
+    # interval used to be (0, 0)
+    rng = np.random.default_rng([7, 14])
+    g = random_dense_digraph(rng, 14, 8, keep_prob=1.0)
+    t = random_tree(rng, 14, max_deg=4)
+    x, _ = max_entropy_matching(g)
+    rep = estimate_copies(g, x, t, samples=20000, seed=0)
+    assert rep.labelled == 0.0 and rep.unlabelled == 0.0
+    assert rep.ci == (0.0, math.inf, 0.95)
+
+
 def test_estimator_refuses_zero_weights_first():
     # the zero-weight refusal comes before the sample count and host checks
     g = complete_digraph(3)
