@@ -162,15 +162,29 @@ def _guide_rows(cdf: np.ndarray, dtype: np.dtype) -> np.ndarray:
     A search for u in [b/n, (b+1)/n) starts at ``guide[r, b]``.  A row
     whose total is 0 or NaN has NaN keys, which become n, so its guide is
     0; every row's last key is set to n, so no guide passes cell n - 1.
+    The keys are scaled, cast and counted a block of rows at a time, about
+    ``_BLOCK`` cells, in two buffers reused for every block, so no
+    temporary is n x n.
     """
     m, n = cdf.shape
-    with np.errstate(divide="ignore", invalid="ignore"):
-        keys = np.fmin(cdf * (n / cdf[:, -1:]), n).astype(np.intp)
-    keys[:, -1] = n
-    keys += np.arange(0, m * (n + 1), n + 1)[:, None]
-    counts = np.bincount(keys.ravel(), minlength=m * (n + 1)).reshape(m, n + 1)
     guide = np.zeros((m, n), dtype=dtype)
-    np.cumsum(counts[:, : n - 1], axis=1, out=guide[:, 1:])
+    rows = max(1, _BLOCK // n)
+    scaled = np.empty((min(rows, m), n))
+    keys = np.empty((min(rows, m), n), dtype=np.intp)
+    # each row's keys counted in its own n + 1 bins
+    offsets = np.arange(0, len(keys) * (n + 1), n + 1)[:, None]
+    for lo in range(0, m, rows):
+        block = cdf[lo:lo + rows]
+        b = len(block)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.multiply(block, n / block[:, -1:], out=scaled[:b])
+        np.fmin(scaled[:b], n, out=scaled[:b])
+        np.copyto(keys[:b], scaled[:b], casting="unsafe")
+        keys[:b, -1] = n
+        keys[:b] += offsets[:b]
+        counts = np.bincount(keys[:b].ravel(), minlength=b * (n + 1))
+        np.cumsum(counts.reshape(b, n + 1)[:, : n - 1], axis=1,
+                  out=guide[lo:lo + b, 1:])
     return guide
 
 

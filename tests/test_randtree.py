@@ -568,6 +568,49 @@ def test_batch_tables_are_built_whole():
     assert peak < output + 7 * 2**20
 
 
+def whole_guide_rows(cdf, dtype):
+    """Reference guide: every row's keys at once, in n x n temporaries."""
+    m, n = cdf.shape
+    with np.errstate(divide="ignore", invalid="ignore"):
+        keys = np.fmin(cdf * (n / cdf[:, -1:]), n).astype(np.intp)
+    keys[:, -1] = n
+    keys += np.arange(0, m * (n + 1), n + 1)[:, None]
+    counts = np.bincount(keys.ravel(), minlength=m * (n + 1)).reshape(m, n + 1)
+    guide = np.zeros((m, n), dtype=dtype)
+    np.cumsum(counts[:, : n - 1], axis=1, out=guide[:, 1:])
+    return guide
+
+
+@pytest.mark.parametrize("m, n", [(1, 1), (3, 3), (40, 40), (300, 300), (3, 20_000)])
+def test_guide_rows_match_the_whole_table_formula(m, n):
+    # blocks of rows, one row per block past _BLOCK cells, a zero row and
+    # decimal weights whose keys land on bucket edges
+    rng = np.random.default_rng([3, n])
+    w = rng.random((m, n)) * (rng.random((m, n)) < 0.5)
+    w[m // 2] = 0.0
+    w[-1] = rng.integers(0, 4, n) * 0.1
+    cdf = np.cumsum(w, axis=1)
+    for dtype in (np.min_scalar_type(n - 1), np.uint16):
+        want = whole_guide_rows(cdf, dtype)
+        got = randtree._guide_rows(cdf, dtype)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_guide_rows_need_no_square_temporaries():
+    # K_1000's kept tables take 9.5 MiB (float64 cdf and uint16 guide);
+    # building the guide through n x n keys, casts and counts took 32.4 MiB
+    x = uniform_matching(1000)
+    t = path_tree(10)
+    sample_trees_batch(x.host, x, t, 20, seed=0)
+    tracemalloc.start()
+    try:
+        sample_trees_batch(x.host, x, t, 20, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**20
+
+
 def distinct_rows(images):
     srt = np.sort(images, axis=1)
     return np.all(srt[:, 1:] != srt[:, :-1], axis=1)
