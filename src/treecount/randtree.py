@@ -17,9 +17,9 @@ roots alone:
 - more roots (``sample_trees_batch``): per tree edge, every sample starts
   at its row's n-bucket guide (the cutpoint method; Chen & Asau 1974,
   Devroye 1986 III.2.4) and walks, a block of ``_BLOCK`` samples at once,
-  to the searched cell.  The walk, not the guide, decides the cell, so a
-  batch needs neither a sort nor a binary search, and its images stay the
-  search's.
+  to the searched cell (``_walk``).  The walk, not the guide, decides the
+  cell, so a batch needs neither a sort nor a binary search, and its images
+  stay the search's.
 
 Both paths give the same images and log-probabilities from the same random
 stream, bit for bit.  Images come out as ``_image_dtype(n)``: uint16 up to
@@ -30,6 +30,14 @@ direction, at that direction's first tree edge, with its guide row, and
 keeps them for the call.  Besides those and its output, a batch holds one
 column of uniforms per tree edge and a few temporaries of ``_BLOCK``
 samples, each small enough for L2, not a samples x n block per tree edge.
+
+The estimator draws through ``_self_avoiding_draws``, which takes the
+batch's uniforms and runs the same ``_walk``, but only for the samples
+whose images are still distinct: a sample retires at its first repeated
+image, and the kept image rows are cut down to the live samples once a
+quarter of them have retired.  It returns the self-avoiding samples and
+their log-probabilities, the batch's bit for bit, and holds no image array
+of all samples.
 """
 
 from __future__ import annotations
