@@ -624,7 +624,7 @@ def distinct_rows(images):
     (lambda rng: uniform_matching(300), 30),
 ], ids=["sparse40", "ties50", "dense60", "k300"])
 def test_self_avoiding_draws_are_the_batch_hits(monkeypatch, make, size, block):
-    # the retiring driver returns the rows of _draw_many whose images are
+    # the retiring draws return the rows of _draw_many whose images are
     # distinct, with the same log-probabilities, bit for bit, and leaves
     # the stream where _draw_many leaves it; many samples retire, so the
     # kept rows are cut several times
@@ -659,7 +659,7 @@ def test_zero_weight_draws_count_live_samples_only():
     # row 4 of the weights is empty, so every sample whose first child is
     # vertex 4 draws a zero-weight arc at the third edge; the second edge
     # draws from column 4, and where it lands on the root the sample has
-    # retired, so the retiring driver counts only the others
+    # retired, so the retiring draws count only the others
     w = np.ones((12, 12))
     np.fill_diagonal(w, 0.0)
     w[4] = 0.0
