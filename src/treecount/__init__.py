@@ -1,9 +1,9 @@
 """Maximum-entropy fractional matchings and random tree embeddings.
 
 Library + CLI for computing maximum-entropy perfect fractional matchings
-on dense digraphs, normalizing and rebalancing them, decomposing rooted
-oriented trees, sampling branching random-walk embeddings, and verifying
-tree-copy lower bounds at desk scale.
+on dense digraphs, rebalancing them, decomposing rooted oriented trees,
+sampling branching random-walk embeddings, and verifying tree-copy lower
+bounds at desk scale.
 """
 
 from __future__ import annotations
@@ -19,14 +19,11 @@ from .graphs import (
     write_graph_text,
 )
 from .matching import (
-    NormalizationConfig,
     PerfectFractionalMatching,
     fourcycle_shift,
     matching_entropy,
-    matching_minus_set,
     max_entropy_matching,
     normality,
-    normalize_to_b,
     parse_pfm_text,
     rebalance_after_removal,
     write_pfm_text,
@@ -63,11 +60,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Digraph", "RootedOrientedTree", "PerfectFractionalMatching",
-    "InputError", "ParseError", "ProcedureError", "NormalizationConfig",
+    "InputError", "ParseError", "ProcedureError",
     "complete_digraph", "directed_cycle", "epsilon_of", "min_semidegree",
     "parse_graph_text", "write_graph_text",
-    "matching_entropy", "max_entropy_matching", "normality", "normalize_to_b",
-    "fourcycle_shift", "rebalance_after_removal", "matching_minus_set",
+    "matching_entropy", "max_entropy_matching", "normality",
+    "fourcycle_shift", "rebalance_after_removal",
     "parse_pfm_text", "write_pfm_text", "automorphism_count",
     "quarter_decomposition", "tree_partition", "split_trunk",
     "path_tree", "star_tree",

@@ -13,14 +13,13 @@ reports it as its optimality certificate.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from .errors import InputError, ParseError, ProcedureError, read_body, read_header
-from .graphs import Digraph, epsilon_of
+from .graphs import Digraph
 
 ROWSUM_TOL = 1e-9
 SOLVER_TOL = 1e-10
@@ -108,9 +107,6 @@ class NormalityReport:
     b_min: float
     attaining: tuple[tuple[int, int], ...]
     support_gaps: tuple[tuple[int, int], ...]  # host arcs carrying zero weight
-
-    def within(self, b: float, slack: float = 1e-9) -> bool:
-        return self.b_min <= b * (1 + slack)
 
 
 def normality(x: PFM) -> NormalityReport:
@@ -277,145 +273,6 @@ def heavy_mass(x: PFM, b: float) -> float:
                 mass=mass, cap=cap,
             )
     return mass
-
-
-# ---------------------------------------------------------------------------
-# b-normalization
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class NormalizationConfig:
-    b: float
-    lam: float = 0.5
-    max_rounds: int = 20000
-
-    def __post_init__(self):
-        if not (0 < self.lam < 1):
-            raise InputError(f"blend parameter must lie in (0,1), got {self.lam}")
-        if self.b <= 1:
-            raise InputError(f"target b must exceed 1, got {self.b}")
-
-
-@dataclass(frozen=True)
-class NormalizationReport:
-    b_before: float
-    b_after: float
-    entropy_before: float
-    entropy_after: float
-    entropy_loss: float
-    rounds: int
-    blended: bool
-
-
-def _extreme_arc(key: np.ndarray, mask: np.ndarray, thr: float) -> Optional[tuple[int, int]]:
-    """The first arc, row-major, whose key is above thr and within 1e-18 of the largest."""
-    over = np.argwhere(mask & (key > thr))
-    if over.size == 0:
-        return None
-    vals = key[over[:, 0], over[:, 1]]
-    p, w0 = over[np.argmax(vals >= vals.max() - 1e-18)]
-    return int(p), int(w0)
-
-
-def normalize_to_b(
-    m: PFM,
-    cfg: NormalizationConfig,
-    partner: Optional[PFM] = None,
-) -> tuple[PFM, NormalizationReport]:
-    """Produce a b-normal matching close in entropy to the input.
-
-    Blends with a near-uniform partner, then shifts weight around 4-cycles
-    (p, w0, q, z): heaviest arc (p, w0) first while any lies above b/n, then
-    lightest first while any lies below 1/(bn).  A heavy arc loses weight
-    to (q, w0) and (p, z), which must be light; a light one gains it from
-    them.  Each shift stops at the window's edges, so every arc keeps
-    inside the window once it gets there.
-    """
-    g = m.host
-    n = g.n
-    b = cfg.b
-    h_before = matching_entropy(m)
-    rep0 = normality(m)
-    if rep0.within(b):
-        return m, NormalizationReport(
-            b_before=rep0.b_min, b_after=rep0.b_min,
-            entropy_before=h_before, entropy_after=h_before,
-            entropy_loss=0.0, rounds=0, blended=False,
-        )
-    if partner is None:
-        partner, _ = max_entropy_matching(g)
-    c_actual = normality(partner).b_min
-    if not math.isfinite(c_actual) or c_actual >= b:
-        raise ProcedureError(
-            "no sufficiently normal blend partner on this host",
-            partner_normality=c_actual, target_b=b,
-        )
-    lam = cfg.lam
-    if lam < c_actual / b:
-        warnings.warn(
-            "blend parameter below partner-normality ratio; "
-            "light arcs may stay below the window",
-            stacklevel=2,
-        )
-    w = (1 - lam) * m.weights + lam * partner.weights
-    mask = g.mask
-    hi = b / n
-    lo = 1.0 / (b * n)
-    eps = float(epsilon_of(g))
-    light_thr = (1.0 / (eps * n)) if eps > 0 else hi
-
-    rounds = 0
-    for side in ("heavy", "light"):
-        heavy = side == "heavy"
-        while rounds < cfg.max_rounds:
-            # negated weights make the lightest arc the extreme one
-            key, thr = (w, hi + 1e-12) if heavy else (-w, 1e-12 - lo)
-            arc = _extreme_arc(key, mask, thr)
-            if arc is None:
-                break
-            p, w0 = arc
-            goal = w[p, w0] - hi if heavy else lo - w[p, w0]
-            best = None
-            best_alpha = 0.0
-            # the cycle (v, w0, u, z) moves alpha off (v, w0), (u, z) onto (u, w0), (v, z)
-            for q in g.in_adj[w0]:
-                if q == p or (heavy and w[q, w0] > light_thr):
-                    continue
-                v, u = (p, q) if heavy else (q, p)
-                for z in g.out_adj[q]:
-                    if z == w0 or not mask[p, z] or (heavy and w[p, z] > light_thr):
-                        continue
-                    a, b_, c_, d = w[v, w0], w[u, z], w[u, w0], w[v, z]
-                    alpha = min(
-                        goal, _product_alpha(a, b_, c_, d),
-                        a - lo, b_ - lo, hi - c_, hi - d,
-                    )
-                    if alpha > best_alpha + 1e-18:
-                        best_alpha = alpha
-                        best = (v, u, z)
-            if best_alpha <= 1e-15:
-                surviving = [tuple(e) for e in np.argwhere(mask & (key > thr))]
-                raise ProcedureError(
-                    f"no usable 4-cycle for a surviving {side} arc",
-                    **{f"{side}_arcs": surviving}, b=b,
-                )
-            v, u, z = best
-            w[[v, u], [w0, z]] -= best_alpha
-            w[[u, v], [w0, z]] += best_alpha
-            rounds += 1
-    out = PFM(g, w)
-    rep1 = normality(out)
-    if not rep1.within(b, slack=1e-6):
-        raise ProcedureError(
-            "round budget exhausted before reaching the window",
-            b_after=rep1.b_min, attaining_arcs=list(rep1.attaining),
-        )
-    h_after = matching_entropy(out)
-    return out, NormalizationReport(
-        b_before=rep0.b_min, b_after=rep1.b_min,
-        entropy_before=h_before, entropy_after=h_after,
-        entropy_loss=h_before - h_after, rounds=rounds, blended=True,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -588,47 +445,6 @@ def rebalance_after_removal(
         meets_target=h_new >= target - 1e-9, passes=p1 + p2,
     )
     return RebalanceResult(matching=out, new_vertex=u_id, report=rep)
-
-
-@dataclass(frozen=True)
-class MinusSetReport:
-    host_entropy: float
-    entropy: float
-    loss: float
-    normalization: NormalizationReport
-
-
-def matching_minus_set(
-    g: Digraph, a_set: Iterable[int], b: float
-) -> tuple[PFM, MinusSetReport]:
-    """b-normal matching on G - A whose entropy stays close to h(G)."""
-    a_set = set(a_set)
-    n = g.n
-    if n >= 3 and len(a_set) > n / math.log(n) ** 2:
-        warnings.warn(
-            f"removed set of size {len(a_set)} is large for n={n}; "
-            "the entropy-loss accounting may be loose",
-            stacklevel=2,
-        )
-    x, _ = max_entropy_matching(g)
-    h_g = matching_entropy(x)
-    res = rebalance_after_removal(x, a_set)
-    y = res.matching
-    partner, _ = max_entropy_matching(y.host)
-    c_actual = normality(partner).b_min
-    if c_actual >= b:
-        raise ProcedureError(
-            "target b below the host's own normality",
-            partner_normality=c_actual, target_b=b,
-        )
-    lam = min(0.9, max(0.1, 1.2 * c_actual / b))
-    cfg = NormalizationConfig(b=b, lam=lam)
-    z, norm_rep = normalize_to_b(y, cfg, partner=partner)
-    h_z = matching_entropy(z)
-    rep = MinusSetReport(
-        host_entropy=h_g, entropy=h_z, loss=h_g - h_z, normalization=norm_rep
-    )
-    return z, rep
 
 
 # ---------------------------------------------------------------------------

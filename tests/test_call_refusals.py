@@ -22,12 +22,9 @@ from treecount.graphs import (
     induced_subgraph,
 )
 from treecount.matching import (
-    NormalizationConfig,
     PerfectFractionalMatching,
     fourcycle_shift,
-    matching_minus_set,
     max_entropy_matching,
-    normalize_to_b,
     rebalance_after_removal,
     vertex_entropy,
 )
@@ -117,8 +114,6 @@ CALL_REFUSALS = [
         lambda: fourcycle_shift(C4, (1, 2, 0, 3), 0.3),
         "alpha = 0.3 exceeds available weight min(0.5, 0.25)",
     ),
-    (lambda: NormalizationConfig(b=2, lam=1), "blend parameter must lie in (0,1), got 1"),
-    (lambda: NormalizationConfig(b=1), "target b must exceed 1, got 1"),
     (lambda: mixing_check(K4, X4, [DOWN], 0, t_min=3, t_max=2), "need 1 <= t_min <= t_max"),
     (lambda: mixing_check(K4, X4, [DOWN], 0, t_min=0), "need 1 <= t_min <= t_max"),
     (
@@ -145,28 +140,6 @@ CALL_REFUSALS = [
 def test_call_refusal(call, message):
     with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
         call()
-
-
-PROCEDURE_REFUSALS = [
-    (
-        lambda: normalize_to_b(C4, NormalizationConfig(b=1.5), partner=C4),
-        "no sufficiently normal blend partner on this host",
-        {"partner_normality": 2.0, "target_b": 1.5},
-    ),
-    (
-        # K_5 less a vertex is K_4, whose uniform matching is 4/3-normal
-        lambda: matching_minus_set(complete_digraph(5), [0], b=1.2),
-        "target b below the host's own normality",
-        {"partner_normality": pytest.approx(4 / 3), "target_b": 1.2},
-    ),
-]
-
-
-@pytest.mark.parametrize("call, message, diagnostics", PROCEDURE_REFUSALS)
-def test_procedure_refusal(call, message, diagnostics):
-    with pytest.raises(ProcedureError, match=f"^{re.escape(message)}$") as info:
-        call()
-    assert info.value.diagnostics == diagnostics
 
 
 def test_pipeline_with_no_retries_fails_stage_0():

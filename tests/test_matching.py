@@ -15,17 +15,14 @@ from treecount.graphs import (
     induced_subgraph,
 )
 from treecount.matching import (
-    NormalizationConfig,
     PerfectFractionalMatching,
     _redistribute_rows,
     fourcycle_shift,
     heavy_mass,
     matching_entropy,
-    matching_minus_set,
     max_entropy_matching,
     max_shift,
     normality,
-    normalize_to_b,
     parse_pfm_text,
     rebalance_after_removal,
     vertex_entropy,
@@ -332,50 +329,6 @@ def test_heavy_mass_bound_on_dense_hosts():
             assert mass <= 4 * n / math.log2(b) + 1e-9
 
 
-def test_normalize_identity_cases():
-    g = complete_digraph(8)
-    x, _ = max_entropy_matching(g)
-    cfg = NormalizationConfig(b=8 / 7 + 1e-9, lam=0.5)
-    out, rep = normalize_to_b(x, cfg)
-    assert not rep.blended and rep.rounds == 0
-    assert np.array_equal(out.weights, x.weights)
-
-
-def test_normalize_heavy_matching():
-    rng = np.random.default_rng(15)
-    n, b = 20, 6.0
-    g = complete_digraph(n)
-    # hand-built matching with one very heavy arc
-    w = np.full((n, n), 1.0 / (n - 1))
-    np.fill_diagonal(w, 0.0)
-    heavy = 0.5
-    w[0, 1] = heavy
-    w[0, 2:] -= (heavy - 1.0 / (n - 1)) / (n - 2)
-    w[2:, 1] -= (heavy - 1.0 / (n - 1)) / (n - 2)
-    spread = (heavy - 1.0 / (n - 1)) / (n - 2)
-    for i in range(2, n):
-        for j in range(2, n):
-            if i != j:
-                w[i, j] += 2 * spread / (n - 3)
-    w = np.maximum(w, 0)
-    w /= w.sum(axis=1, keepdims=True)
-    for _ in range(2000):
-        w /= w.sum(axis=1, keepdims=True)
-        w /= w.sum(axis=0, keepdims=True)
-    np.fill_diagonal(w, 0.0)
-    w /= w.sum(axis=1, keepdims=True)
-    for _ in range(2000):
-        w /= w.sum(axis=1, keepdims=True)
-        w /= w.sum(axis=0, keepdims=True)
-    m = PerfectFractionalMatching(g, w)
-    h_m = matching_entropy(m)
-    cfg = NormalizationConfig(b=b, lam=0.4)
-    out, rep = normalize_to_b(m, cfg)
-    assert normality(out).within(b, slack=1e-6)
-    assert rep.entropy_after >= (1 - cfg.lam) * h_m - 1e-9
-    assert rep.entropy_loss <= 0.5
-
-
 def test_rebalance_identity():
     g = complete_digraph(5)
     x, _ = max_entropy_matching(g)
@@ -464,29 +417,6 @@ def test_rebalance_semidegree_collapse():
             rebalance_after_removal(c, removed)
         assert str(info.value).startswith("semidegree collapse")
         assert info.value.diagnostics == {"vertex": vertex}
-
-
-def test_matching_minus_set_empty():
-    g = complete_digraph(8)
-    z, rep = matching_minus_set(g, [], b=4.0)
-    assert matching_entropy(z) == pytest.approx(rep.host_entropy, abs=1e-8)
-
-
-def test_matching_minus_set_complete():
-    g = complete_digraph(10)
-    z, rep = matching_minus_set(g, [4], b=4.0)
-    assert z.n == 9
-    assert matching_entropy(z) == pytest.approx(9 * math.log2(8), abs=1e-6)
-
-
-def test_matching_minus_set_random():
-    rng = np.random.default_rng(17)
-    g = random_dense_digraph(rng, 50, min_deg=32)
-    with pytest.warns(UserWarning):
-        z, rep = matching_minus_set(g, [0, 1, 2, 3], b=6.0)
-    assert normality(z).within(6.0, slack=1e-6)
-    # loss accounting: within 4 log n + b^2 * 4 of the host entropy
-    assert rep.loss <= 4 * math.log2(50) + 36.0 * 4
 
 
 def test_pfm_roundtrip_bit_faithful():
