@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,7 +37,7 @@ def path5_file(tmp_path):
 def test_entropy_command(k6_file, tmp_path):
     out = str(tmp_path / "entropy.json")
     assert main(["entropy", k6_file, "--out", out]) == 0
-    payload = json.loads(open(out).read())
+    payload = json.loads(Path(out).read_text())
     assert payload["h_bits"] == pytest.approx(6 * math.log2(5), abs=1e-6)
     assert payload["b_min"] == pytest.approx(6 / 5)
 
@@ -86,7 +87,7 @@ def test_count_command_brute(tmp_path, path5_file):
     g.write_text(write_graph_text(complete_digraph(5)))
     out = str(tmp_path / "count.json")
     assert main(["count", str(g), path5_file, "--out", out]) == 0
-    payload = json.loads(open(out).read())
+    payload = json.loads(Path(out).read_text())
     assert payload["count"]["labelled"] == 120
     assert payload["bound_value"] == pytest.approx(6.9, abs=0.01)
     assert payload["holds"] and payload["note"] == ""
@@ -116,7 +117,7 @@ def test_count_notes_non_spanning_tree(tmp_path):
     t.write_text(write_tree_text(path_tree(4)))
     out = str(tmp_path / "count.json")
     assert main(["count", str(g), str(t), "--out", out]) == 0
-    payload = json.loads(open(out).read())
+    payload = json.loads(Path(out).read_text())
     assert payload["count"]["unlabelled"] == 1680 and not payload["holds"]
     assert payload["note"] == "tree is not spanning; bound is informational only"
 
@@ -236,7 +237,7 @@ def test_count_estimate_mode(tmp_path, path5_file):
         "--samples", "50000", "--seed", "1", "--out", out,
     ])
     assert code == 0
-    payload = json.loads(open(out).read())
+    payload = json.loads(Path(out).read_text())
     low, high = payload["count"]["ci"]["low"], payload["count"]["ci"]["high"]
     assert low <= 720 * 1.05 and high >= 720 * 0.9
 
@@ -246,8 +247,8 @@ def test_sample_command_deterministic(tmp_path, k6_file, path5_file):
     args = ["sample", k6_file, path5_file, "--samples", "200", "--seed", "7"]
     assert main(args + ["--out", out1]) == 0
     assert main(args + ["--out", out2]) == 0
-    assert open(out1, "rb").read() == open(out2, "rb").read()
-    header = open(out1).readline().strip()
+    assert Path(out1).read_bytes() == Path(out2).read_bytes()
+    header = Path(out1).read_text().splitlines()[0]
     assert header == "seed,worker,images,log_prob,self_avoiding"
 
 
@@ -289,7 +290,7 @@ def test_count_estimate_without_samples_exit_2(tmp_path, k6_file, path5_file, ca
 def test_mixing_command(tmp_path, k6_file):
     out = str(tmp_path / "mixing.json")
     assert main(["mixing", k6_file, "--t-max", "40", "--out", out]) == 0
-    payload = json.loads(open(out).read())
+    payload = json.loads(Path(out).read_text())
     assert payload["hypothesis_ok"]
     assert all(r["holds"] for r in payload["rows"] if r["admissible"])
 
@@ -337,7 +338,7 @@ def test_decompose_command(tmp_path):
     tree.write_text(write_tree_text(path_tree(16)))
     out = str(tmp_path / "dec.json")
     assert main(["decompose", str(tree), "--out", out]) == 0
-    payload = json.loads(open(out).read())
+    payload = json.loads(Path(out).read_text())
     assert all(payload["invariants"].values())
     assert sum(p["size"] for p in payload["pieces"]) >= 16
 
@@ -349,7 +350,7 @@ def test_pipeline_command(tmp_path):
     t.write_text(write_tree_text(random_tree(np.random.default_rng(5), 9, 3)))
     out = str(tmp_path / "trace.json")
     assert main(["pipeline", str(g), str(t), "--seed", "2", "--out", out]) == 0
-    payload = json.loads(open(out).read())
+    payload = json.loads(Path(out).read_text())
     assert payload["success"]
     assert len(set(payload["mapping"].values())) == 9
 
@@ -379,7 +380,7 @@ def test_verify_command_csv(tmp_path, path5_file):
     out = str(tmp_path / "verify.csv")
     assert main(["verify", str(g), path5_file, "--format", "csv",
                  "--out", out]) == 0
-    lines = open(out).read().strip().split("\n")
+    lines = Path(out).read_text().strip().split("\n")
     assert lines[0].startswith("n,m,h_bits")
 
 
@@ -387,7 +388,7 @@ def test_json_reports_byte_identical(tmp_path, k6_file):
     out1, out2 = str(tmp_path / "e1.json"), str(tmp_path / "e2.json")
     main(["entropy", k6_file, "--out", out1])
     main(["entropy", k6_file, "--out", out2])
-    assert open(out1, "rb").read() == open(out2, "rb").read()
+    assert Path(out1).read_bytes() == Path(out2).read_bytes()
 
 
 def test_failure_prints_diagnostics(tmp_path, capsys):
@@ -434,6 +435,6 @@ def test_pipeline_resolve_failure_writes_partial_trace(tmp_path, capsys):
     assert err[1].startswith("diagnostics: ")
     diag = json.loads(err[1][len("diagnostics: "):])
     assert diag["iterations"] == 1000 and diag["residual"] > 1e-10
-    payload = json.loads(open(out).read())
+    payload = json.loads(Path(out).read_text())
     assert not payload["success"]
     assert len(payload["stages"]) == diag["stage"] > 0
