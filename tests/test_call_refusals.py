@@ -34,7 +34,7 @@ from treecount.trees import DOWN, path_tree, split_trunk
 
 K4 = complete_digraph(4)
 X4 = max_entropy_matching(K4)[0]
-# x[v, v+1] = 1/2 and x[v, v+2] = x[v, v+3] = 1/4, indices mod 4: 2-normal
+# x[v, v+1] = 1/2 and x[v, v+2] = x[v, v+3] = 1/4, indices mod 4
 C4 = PerfectFractionalMatching(
     K4, [[0, .5, .25, .25], [.25, 0, .5, .25], [.25, .25, 0, .5], [.5, .25, .25, 0]]
 )
